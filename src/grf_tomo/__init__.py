@@ -28,19 +28,16 @@ from .geometry import (
     radon2d_psi,
     radon2d_psi_second_derivative,
 )
-from .kernel import Kernel, KernelSpec, autocorrelation_spline
+from .kernel import Kernel, KernelSpec
 from .noise import NoiseModel, modulation_field, variance_field
 from .recon import (
     HistogramDensity,
     ReconstructionPlan,
     SampleStats,
     density_mismatch,
-    detector_response,
     gaussian_on_bins,
     histogram_density,
     histogram_density_2d,
-    reconstruct_point,
-    reconstruct_with_field,
     run_experiment,
 )
 
@@ -62,10 +59,8 @@ __all__ = [
     "SampleStats",
     "WeylDecayResult",
     "ZeroSetReport",
-    "autocorrelation_spline",
     "degeneracy_tolerance_scan",
     "density_mismatch",
-    "detector_response",
     "direction_degeneracy_fraction",
     "equidistributed_average",
     "fit_log_slope",
@@ -78,8 +73,6 @@ __all__ = [
     "modulation_field",
     "radon2d_psi",
     "radon2d_psi_second_derivative",
-    "reconstruct_point",
-    "reconstruct_with_field",
     "run_experiment",
     "variance_field",
     "weyl_decay_table",

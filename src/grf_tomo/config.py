@@ -25,6 +25,14 @@ from .noise import NoiseModel
 # a warning.
 REQUIRED_SMOOTHNESS = 5
 
+# assertion rules the CLI evaluates, per command; predict rules are
+# [target, tolerance] pairs, all others single thresholds
+ASSERTION_RULES = {
+    "predict": ("variance", "cross_covariance"),
+    "simulate": ("variance_rel", "cov_mismatch", "pdf1d_mismatch", "pdf2d_mismatch"),
+    "check": ("ellipse_residual_scale", "weyl_slope_max", "y2_fraction_linear"),
+}
+
 
 class ConfigError(ValueError):
     """Invalid configuration; message names the offending field."""
@@ -160,7 +168,7 @@ def from_dict(data):
                 "experiment.view_step: view_step * n_views must equal 2*pi"
             )
     realizations = _require(exp, "realizations", "experiment.realizations", int,
-                            lambda v: v >= 1, "must be an integer >= 1")
+                            lambda v: v >= 2, "must be an integer >= 2")
     bins = _require(exp, "bins", "experiment.bins", int,
                     lambda v: v >= 2, "must be an integer >= 2")
     center = _vector3(exp.get("center"), "experiment.center")
@@ -179,6 +187,9 @@ def from_dict(data):
     if not isinstance(tolerance, (int, float)) or tolerance <= 0:
         raise ConfigError("prediction.tolerance: must be > 0")
 
+    checks = _checks(data.get("checks", {}))
+    assertions = _assertions(data.get("assertions", {}))
+
     delta_s = TWO_PI / n_views
     noise = NoiseModel(eps=float(eps), delta_s=delta_s, seed=int(seed))
 
@@ -195,11 +206,55 @@ def from_dict(data):
         seed=int(seed),
         panels=int(panels),
         tolerance=float(tolerance),
-        checks=data.get("checks", {}),
-        assertions=data.get("assertions", {}),
+        checks=checks,
+        assertions=assertions,
     )
     _validate_admissibility(config)
     return config
+
+
+def _finite_number(value):
+    return isinstance(value, (int, float)) and not isinstance(value, bool) \
+        and np.isfinite(value)
+
+
+def _checks(checks):
+    if not isinstance(checks, dict):
+        raise ConfigError("checks: expected a JSON object")
+    scan = checks.get("covariance_scan")
+    if scan is not None:
+        path = "checks.covariance_scan"
+        if not isinstance(scan, dict):
+            raise ConfigError(f"{path}: expected a JSON object")
+        if not np.any(_vector3(scan.get("direction"), f"{path}.direction")):
+            raise ConfigError(f"{path}.direction: must be nonzero")
+        radii = scan.get("radii")
+        if not isinstance(radii, list) or not radii or not all(map(_finite_number, radii)):
+            raise ConfigError(f"{path}.radii: expected a nonempty list of finite numbers")
+    return checks
+
+
+def _assertions(assertions):
+    if not isinstance(assertions, dict):
+        raise ConfigError("assertions: expected a JSON object")
+    for command, rules in assertions.items():
+        known = ASSERTION_RULES.get(command)
+        if known is None:
+            raise ConfigError(f"assertions.{command}: unknown command; "
+                              f"expected one of {', '.join(ASSERTION_RULES)}")
+        if not isinstance(rules, dict):
+            raise ConfigError(f"assertions.{command}: expected a JSON object")
+        for name, value in rules.items():
+            path = f"assertions.{command}.{name}"
+            if name not in known:
+                raise ConfigError(f"{path}: unknown rule; expected one of {', '.join(known)}")
+            if command != "predict":
+                if not _finite_number(value):
+                    raise ConfigError(f"{path}: expected a finite number")
+            elif not (isinstance(value, list) and len(value) == 2
+                      and all(map(_finite_number, value))):
+                raise ConfigError(f"{path}: expected [target, tolerance]")
+    return assertions
 
 
 def _validate_admissibility(config):

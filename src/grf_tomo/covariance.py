@@ -20,8 +20,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from .kernel import Kernel, autocorrelation_spline
+from .kernel import Kernel
 from .noise import variance_field
+
+_GL_ORDER = 4                  # Gauss-Legendre nodes per angle panel
 
 
 class QuadratureConvergenceError(RuntimeError):
@@ -47,12 +49,10 @@ class CovariancePredictor:
         Number of Gauss-Legendre panels for the angle integral.
     tolerance : float, optional
         Absolute tolerance verified by panel-doubling refinement.
-    table_step : float, optional
-        Grid spacing of the tabulated autocorrelations.
     """
 
     def __init__(self, geometry, kernel, x0, sigma2=None, panels=2000,
-                 tolerance=1e-4, table_step=1e-3, gl_order=4):
+                 tolerance=1e-4):
         if not isinstance(kernel, Kernel):
             kernel = Kernel(kernel)
         self.geometry = geometry
@@ -61,9 +61,6 @@ class CovariancePredictor:
         self.sigma2 = sigma2 if sigma2 is not None else variance_field
         self.panels = int(panels)
         self.tolerance = float(tolerance)
-        self.gl_order = int(gl_order)
-        self._corr_d2 = autocorrelation_spline(kernel, "d2", step=table_step)
-        self._corr_value = autocorrelation_spline(kernel, "value", step=table_step)
 
         rho = float(np.hypot(self.x0[0], self.x0[1]))
         limit = geometry.admissible_fraction * geometry.radius
@@ -71,6 +68,10 @@ class CovariancePredictor:
             raise ValueError(
                 f"x0 at cylinder radius {rho:.3g} exceeds admissible {limit:.3g}"
             )
+        # build the kernel's autocorrelation pieces now, so that evaluations
+        # only read them
+        kernel.autocorrelation(0.0, "d2")
+        kernel.autocorrelation(0.0, "value")
 
     # -- pointwise response pieces ------------------------------------------
 
@@ -87,17 +88,18 @@ class CovariancePredictor:
     def response_autocorrelation(self, theta):
         """Autocorrelation of the response: ``A2(theta_1) * A0(theta_2)``.
 
-        Spline-tabulated factors; exact zero once either component leaves
-        the correlation support.
+        Exact piecewise-polynomial factors; exact zero once either component
+        leaves the correlation support.
         """
         theta = np.asarray(theta, dtype=float)
-        out = self._corr_d2(theta[..., 0]) * self._corr_value(theta[..., 1])
+        out = self.kernel.autocorrelation(theta[..., 0], "d2") \
+            * self.kernel.autocorrelation(theta[..., 1], "value")
         return out if np.ndim(out) else float(out)
 
     # -- covariance -----------------------------------------------------------
 
     def _integral(self, offset, panels):
-        nodes, weights = np.polynomial.legendre.leggauss(self.gl_order)
+        nodes, weights = np.polynomial.legendre.leggauss(_GL_ORDER)
         edges = np.linspace(0.0, 2.0 * np.pi, panels + 1)
         mid = 0.5 * (edges[:-1] + edges[1:])
         half = 0.5 * (edges[1:] - edges[:-1])
@@ -107,8 +109,7 @@ class CovariancePredictor:
         u, v = self.geometry.project(self.x0, s)
         jac = self.geometry.project_gradient(self.x0, s)   # (m, 2, 3)
         w = jac @ np.asarray(offset, dtype=float)          # (m, 2)
-        vals = self._corr_d2(w[..., 0]) * self._corr_value(w[..., 1])
-        vals = vals * self.sigma2(s, u, v)
+        vals = self.response_autocorrelation(w) * self.sigma2(s, u, v)
         # fixed-order reduction for run-to-run determinism
         return float(np.add.reduce(vals * wq))
 

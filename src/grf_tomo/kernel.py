@@ -8,9 +8,11 @@ integrates to one, is even, and is supported on ``[-(1 + a), 1 + a]``.
 Because the triangle's second distributional derivative is a combination of
 three point masses, the kernel and its derivatives reduce to differences of
 shifted antiderivatives of the smoothing bump.  Everything here is evaluated
-from that closed piecewise-polynomial form; no runtime quadrature is involved
-except in :meth:`Kernel.autocorrelation`, which integrates products of the
-piecewise polynomials exactly with per-piece Gauss-Legendre rules.
+from that closed piecewise-polynomial form.  The autocorrelations of the
+kernel and of its second derivative are piecewise polynomials too, with knots
+where two kernel breakpoints meet; :meth:`Kernel.autocorrelation` evaluates
+those pieces, which are interpolated once per kernel from exact per-piece
+Gauss-Legendre integrals.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial import Polynomial
+from numpy.polynomial import Chebyshev, Polynomial
 
 
 def _double_factorial(n):
@@ -66,18 +68,16 @@ class KernelSpec:
 class Kernel:
     """Evaluator for the kernel, its derivatives, and 1D autocorrelations.
 
-    Immutable after construction; safe for concurrent reads.
+    Immutable after construction apart from the autocorrelation pieces,
+    which are built on first use; safe for concurrent reads.
 
     Parameters
     ----------
     spec : KernelSpec
         Kernel parameters.
-    tab_step : float, optional
-        Spacing of the diagnostic tabulation of the kernel and its first two
-        derivatives on ``[-support, support]``.
     """
 
-    def __init__(self, spec=None, tab_step=1e-3):
+    def __init__(self, spec=None):
         self.spec = spec if spec is not None else KernelSpec()
         a, l = self.spec.half_width, self.spec.exponent
 
@@ -88,14 +88,7 @@ class Kernel:
         self._bump_int2 = self._bump_int1.integ(1, lbnd=-a)
         self._mass1 = float(self._bump_int1(a))             # 1 up to rounding
         self._mass2 = float(self._bump_int2(a))
-
-        self.tab_step = float(tab_step)
-        w = self.spec.support
-        grid = np.arange(-w, w + 0.5 * tab_step, tab_step)
-        self.tab_grid = grid
-        self.tab_value = self.value(grid)
-        self.tab_d1 = self.first_derivative(grid)
-        self.tab_d2 = self.second_derivative(grid)
+        self._pieces = {}
 
     # -- piecewise evaluation of the bump and its running antiderivatives --
 
@@ -158,6 +151,49 @@ class Kernel:
         a = self.spec.half_width
         return np.unique([-1.0 - a, -a, 1.0 - a, a - 1.0, a, 1.0 + a])
 
+    def _integrate_autocorrelation(self, shifts, f):
+        """``int f(shift + r) f(r) dr`` per lag by Gauss-Legendre on each
+        polynomial piece of the product (exact for polynomials of this degree)."""
+        w = self.spec.support
+        deg = 2 * self.spec.exponent + 2          # degree of one kernel piece
+        nodes, weights = np.polynomial.legendre.leggauss(deg + 2)
+        breaks = self.breakpoints
+        out = np.zeros(shifts.shape)
+        for i, th in enumerate(shifts.ravel()):
+            lo, hi = max(-w, -w - th), min(w, w - th)
+            cuts = np.concatenate([[lo, hi], breaks, breaks - th])
+            cuts = np.unique(np.clip(cuts, lo, hi))
+            mid = 0.5 * (cuts[:-1] + cuts[1:])
+            half = 0.5 * (cuts[1:] - cuts[:-1])
+            r = (mid[:, None] + half[:, None] * nodes[None, :]).ravel()
+            vals = f(r + th) * f(r)
+            out.flat[i] = float(np.sum(vals * (half[:, None] * weights[None, :]).ravel()))
+        return out
+
+    def _autocorrelation_pieces(self, which):
+        """Knots and stacked Chebyshev coefficients of one autocorrelation.
+
+        Between consecutive knots (the lags ``|b_i - b_j|`` at which two
+        kernel breakpoints meet) the autocorrelation is a polynomial of
+        degree ``2 d + 1``, ``d`` being the degree of one piece of the
+        correlated function, so interpolating the exact integral at
+        ``2 d + 2`` Chebyshev points reproduces it.  Built on first use; a
+        concurrent first use builds identical pieces twice.
+        """
+        pieces = self._pieces.get(which)
+        if pieces is None:
+            f = {"value": self.value, "d2": self.second_derivative}[which]
+            d = 2 * self.spec.exponent + (2 if which == "value" else 0)
+            b = self.breakpoints
+            knots = np.unique(np.abs(b[:, None] - b[None, :]))
+            coef = np.stack([
+                Chebyshev.interpolate(self._integrate_autocorrelation, 2 * d + 1,
+                                      domain=[lo, hi], args=(f,)).coef
+                for lo, hi in zip(knots[:-1], knots[1:])
+            ], axis=1)                              # (2 d + 2, pieces)
+            pieces = self._pieces[which] = (knots, coef)
+        return pieces
+
     def autocorrelation(self, shift, which="value"):
         """Autocorrelation ``int f(shift + r) f(r) dr`` of ``f``.
 
@@ -171,67 +207,19 @@ class Kernel:
         Returns
         -------
         float or ndarray
-            Exact integral per lag (Gauss-Legendre on each polynomial piece
-            of the product, which is exact for polynomials of this degree).
+            Exact piecewise-polynomial value per lag; even in ``shift``
+            bit-for-bit and exactly zero for ``|shift| >= 2 * support``.
         """
-        f = {"value": self.value, "d2": self.second_derivative}[which]
-        shifts = np.atleast_1d(np.asarray(shift, dtype=float))
-        w = self.spec.support
-        deg = 2 * self.spec.exponent + 2          # degree of one kernel piece
-        nodes, weights = np.polynomial.legendre.leggauss(deg + 2)
-        breaks = self.breakpoints
-        out = np.zeros(shifts.shape)
-        for i, th in enumerate(shifts.ravel()):
-            lo, hi = max(-w, -w - th), min(w, w - th)
-            if lo >= hi:
-                continue
-            cuts = np.concatenate([[lo, hi], breaks, breaks - th])
-            cuts = np.unique(np.clip(cuts, lo, hi))
-            mid = 0.5 * (cuts[:-1] + cuts[1:])
-            half = 0.5 * (cuts[1:] - cuts[:-1])
-            r = (mid[:, None] + half[:, None] * nodes[None, :]).ravel()
-            vals = f(r + th) * f(r)
-            out.flat[i] = float(np.sum(vals * (half[:, None] * weights[None, :]).ravel()))
-        return out if np.ndim(shift) else float(out[0])
-
-
-# Cache of tabulated autocorrelation splines, keyed by kernel parameters.
-_SPLINE_CACHE = {}
-
-
-def autocorrelation_spline(kernel, which, step=1e-3):
-    """Cubic-spline interpolant of a kernel autocorrelation.
-
-    Tabulates :meth:`Kernel.autocorrelation` on a uniform grid covering the
-    full correlation support ``[-2*support, 2*support]`` and fits a cubic
-    spline.  Cached per ``(half_width, exponent, which, step)``.
-
-    Returns
-    -------
-    callable
-        Vectorized evaluator that is exactly zero outside the support.
-    """
-    key = (kernel.spec.half_width, kernel.spec.exponent, which, step)
-    hit = _SPLINE_CACHE.get(key)
-    if hit is not None:
-        return hit
-
-    from scipy.interpolate import CubicSpline
-
-    w2 = 2.0 * kernel.spec.support
-    n = int(np.ceil(w2 / step))
-    grid = np.linspace(-w2, w2, 2 * n + 1)
-    # autocorrelations are even; tabulate one half and mirror
-    half_table = kernel.autocorrelation(grid[n:], which=which)
-    table = np.concatenate([half_table[:0:-1], half_table])
-    spline = CubicSpline(grid, table)
-
-    def evaluate(x):
-        x = np.asarray(x, dtype=float)
-        out = np.zeros(x.shape)
-        m = np.abs(x) < w2
-        out[m] = spline(x[m])
+        knots, coef = self._autocorrelation_pieces(which)
+        lag = np.abs(np.asarray(shift, dtype=float))
+        idx = np.minimum(np.searchsorted(knots, lag, side="right") - 1, knots.size - 2)
+        lo, hi = knots[idx], knots[idx + 1]
+        # clipping only absorbs rounding and keeps far lags finite
+        x = np.clip((2.0 * lag - lo - hi) / (hi - lo), -1.0, 1.0)
+        # Clenshaw recurrence, each lag with the coefficients of its piece
+        x2 = 2.0 * x
+        b1 = b2 = 0.0
+        for row in coef[:0:-1]:
+            b1, b2 = row[idx] + x2 * b1 - b2, b1
+        out = np.where(lag >= knots[-1], 0.0, coef[0][idx] + x * b1 - b2)
         return out if out.ndim else float(out)
-
-    _SPLINE_CACHE[key] = evaluate
-    return evaluate

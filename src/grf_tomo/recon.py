@@ -27,20 +27,6 @@ _INDEX_BIAS = 1 << 20          # detector indices packed as 21-bit biased ints
 _BATCH = 32                    # realizations per batch; fixed for determinism
 
 
-def detector_response(geometry, kernel, eps, x, s, u_prime, v_prime):
-    """Response of the filtered interpolation to a unit datum at ``(u', v')``.
-
-    Equals ``(1/eps^2) * d2((u - u')/eps) * value((v - v')/eps)`` where
-    ``(u, v)`` is the projection of ``x`` at angle ``s``.  The reconstruction
-    is ``delta_s`` times the sum of this response against the noise over all
-    data sites.
-    """
-    u, v = geometry.project(x, s)
-    out = kernel.second_derivative((u - u_prime) / eps) \
-        * kernel.value((v - v_prime) / eps) / eps**2
-    return out if np.ndim(out) else float(out)
-
-
 def _footprint_bounds(coord, support, margin):
     """Integer index window covering ``|coord - k| < support`` plus margin."""
     lo = np.floor(coord - support).astype(np.int64) + 1 - margin
@@ -190,34 +176,6 @@ class ReconstructionPlan:
                 work(start)
         return out
 
-
-def reconstruct_point(geometry, kernel, noise_model, realization, point):
-    """Reconstruction value at one point for one realization."""
-    plan = ReconstructionPlan(geometry, kernel, noise_model, [point])
-    return float(plan.reconstruct([realization])[0, 0])
-
-
-def reconstruct_with_field(geometry, kernel, eps, delta_s, n_views, point, field):
-    """Reconstruction against an arbitrary noise field (testing hook).
-
-    ``field(j, k1, k2)`` receives broadcastable integer index arrays and
-    returns the noise values; the reconstruction is linear in it.
-    """
-    if not isinstance(kernel, Kernel):
-        kernel = Kernel(kernel)
-    support = kernel.spec.support
-    x = np.asarray(point, dtype=float)
-    total = 0.0
-    for j in range(n_views):
-        u, v = geometry.project(x, j * delta_s)
-        lo1, hi1 = _footprint_bounds(np.asarray(u / eps), support, 0)
-        lo2, hi2 = _footprint_bounds(np.asarray(v / eps), support, 0)
-        k1 = np.arange(lo1, hi1 + 1)
-        k2 = np.arange(lo2, hi2 + 1)
-        w = kernel.second_derivative(u / eps - k1)[:, None] \
-            * kernel.value(v / eps - k2)[None, :]
-        total += float(np.sum(w * field(j, k1[:, None], k2[None, :])))
-    return delta_s / eps**2 * total
 
 
 # ---------------------------------------------------------------------------

@@ -18,14 +18,12 @@ from grf_tomo import (
     ReconstructionPlan,
     degeneracy_tolerance_scan,
     density_mismatch,
-    detector_response,
     equidistributed_average,
     gaussian_on_bins,
     hessian_scan_battery,
     histogram_density,
     histogram_density_2d,
     load_config,
-    reconstruct_with_field,
     run_experiment,
     weyl_decay_table,
 )
@@ -40,7 +38,9 @@ from conftest import (
     OFFSET_A,
     OFFSET_B,
     admissible_points,
+    detector_response,
     quad2d_response_correlation,
+    reconstruct_with_field,
 )
 
 THREADS = os.cpu_count() or 1
@@ -59,8 +59,8 @@ def replication_cfg():
 
 @pytest.fixture(scope="module")
 def fresh_prediction(replication_cfg):
-    # cleared cache so the timing covers the full cold-start cost
-    kernel_mod._SPLINE_CACHE.clear()
+    # a fresh Kernel builds its autocorrelation pieces on first use, so the
+    # timing covers the full cold-start cost
     start = time.perf_counter()
     predictor = CovariancePredictor(
         replication_cfg.geometry, kernel_mod.Kernel(replication_cfg.kernel), replication_cfg.center,

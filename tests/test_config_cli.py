@@ -213,6 +213,47 @@ class TestCli:
         assert cli.main(["predict", "--config", path, "--out", str(out),
                          "--assert"]) == 4
 
+    def test_scan_without_fields_exits_2(self, tmp_path, capsys):
+        data = base_config()
+        data["checks"] = {"covariance_scan": {"radii": [0.0, 1.0]}}
+        path = write_config(tmp_path, data)
+        out = tmp_path / "s"
+        assert cli.main(["predict", "--config", path, "--out", str(out)]) == 2
+        assert "checks.covariance_scan.direction" in capsys.readouterr().err
+        assert not out.exists()
+        data["checks"] = {"covariance_scan": {"direction": [0.0, 0.0, 0.0],
+                                              "radii": [0.0, 1.0]}}
+        with pytest.raises(ConfigError, match="checks.covariance_scan.direction"):
+            from_dict(data)
+        data["checks"] = {"covariance_scan": {"direction": [1.0, 0.0, 0.0],
+                                              "radii": []}}
+        with pytest.raises(ConfigError, match="checks.covariance_scan.radii"):
+            from_dict(data)
+
+    def test_single_realization_exits_2(self, tmp_path, capsys):
+        path = write_config(tmp_path, base_config())
+        out = tmp_path / "r"
+        assert cli.main(["simulate", "--config", path, "--out", str(out),
+                         "--realizations", "1"]) == 2
+        assert "experiment.realizations" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_unknown_assertion_rule_exits_2(self, tmp_path, capsys):
+        data = base_config()
+        data["assertions"] = {"predict": {"varianse": [0.485, 0.002]}}
+        path = write_config(tmp_path, data)
+        out = tmp_path / "a"
+        assert cli.main(["predict", "--config", path, "--out", str(out),
+                         "--assert"]) == 2
+        assert "assertions.predict.varianse" in capsys.readouterr().err
+        assert not out.exists()
+        data["assertions"] = {"simulation": {"variance_rel": 0.08}}
+        with pytest.raises(ConfigError, match="assertions.simulation"):
+            from_dict(data)
+        data["assertions"] = {"predict": {"variance": 0.485}}
+        with pytest.raises(ConfigError, match="assertions.predict.variance"):
+            from_dict(data)
+
     def test_console_script_version(self):
         result = subprocess.run([sys.executable, "-m", "grf_tomo.cli", "--version"],
                                 capture_output=True, text=True)

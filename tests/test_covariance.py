@@ -1,3 +1,6 @@
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -41,13 +44,6 @@ class TestResponseAutocorrelation:
             assert_allclose(predictor.response_autocorrelation(theta),
                             predictor.response_autocorrelation(-theta),
                             rtol=0, atol=1e-12)
-
-    def test_spline_matches_direct_quadrature(self, predictor, kernel):
-        rng = np.random.default_rng(2)
-        shifts = rng.uniform(-6.8, 6.8, size=30)
-        direct = kernel.autocorrelation(shifts, "d2")
-        spline = np.array([predictor._corr_d2(s) for s in shifts])
-        assert np.max(np.abs(direct - spline)) < 1e-6
 
     def test_matches_full_2d_quadrature(self, predictor, kernel):
         rng = np.random.default_rng(3)
@@ -122,3 +118,17 @@ class TestCovarianceMatrix:
         base = predictor.covariance_matrix([OFFSET_A, OFFSET_B])
         moved = predictor.covariance_matrix([OFFSET_A + shift, OFFSET_B + shift])
         assert_allclose(moved, base, rtol=1e-10)
+
+
+def test_prediction_does_not_import_scipy():
+    code = "\n".join([
+        "import sys",
+        "import grf_tomo.cli",
+        "from grf_tomo import ConeBeamGeometry, CovariancePredictor, KernelSpec",
+        "p = CovariancePredictor(ConeBeamGeometry(radius=10.0), KernelSpec(), [2.7, -3.1, 0.8])",
+        "p.variance()",
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))",
+    ])
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"

@@ -24,6 +24,20 @@ def defining_integral(t, half_width, exponent):
     return norm * val
 
 
+def autocorrelation_by_quad(f, kernel, lag):
+    """Independent oracle: adaptive quadrature of ``int f(lag + r) f(r) dr``,
+    split where either factor changes polynomial piece."""
+    w = kernel.spec.support
+    lo, hi = max(-w, -w - lag), min(w, w - lag)
+    if lo >= hi:
+        return 0.0
+    cuts = np.concatenate([kernel.breakpoints, kernel.breakpoints - lag])
+    cuts = cuts[(cuts > lo) & (cuts < hi)]
+    val, _ = quad(lambda r: f(r + lag) * f(r), lo, hi, points=cuts,
+                  limit=200, epsabs=1e-14, epsrel=1e-13)
+    return val
+
+
 class TestSpec:
     def test_support_radius(self):
         assert KernelSpec(2.5, 3).support == 3.5
@@ -71,10 +85,6 @@ class TestValue:
         assert np.array_equal(kernel.second_derivative(t),
                               kernel.second_derivative(-t))
 
-    def test_tabulation_matches_evaluators(self, kernel):
-        assert_allclose(kernel.tab_value, kernel.value(kernel.tab_grid), rtol=0, atol=0)
-        assert kernel.tab_grid[0] == -kernel.spec.support
-
 
 class TestDerivatives:
     def test_second_derivative_zero_outside_support(self, kernel):
@@ -100,7 +110,7 @@ class TestDerivatives:
 
     def test_no_jump_across_piece_boundaries(self, kernel):
         # continuity of the second derivative at the polynomial seams
-        h = kernel.tab_step
+        h = 1e-3
         for b in kernel.breakpoints:
             jump = abs(kernel.second_derivative(b + h) - kernel.second_derivative(b - h))
             assert jump < 10.0 * h
@@ -127,6 +137,19 @@ class TestAutocorrelation:
             r = np.arange(-3.5, 3.5 + step / 2, step)
             trap = np.trapezoid(kernel.value(r) ** 2, r)
             assert abs(trap - peak) < 5e-7
+
+    @pytest.mark.parametrize("half_width,exponent", [(2.5, 3), (1.7, 2), (0.8, 5), (2.5, 1)])
+    def test_matches_adaptive_quadrature(self, half_width, exponent):
+        # (0.8, 5) has a half-width below 1, where the breakpoints reorder
+        ker = Kernel(KernelSpec(half_width, exponent))
+        w = ker.spec.support
+        b = ker.breakpoints
+        knots = np.unique(np.abs(b[:, None] - b[None, :]))
+        lags = np.concatenate([knots, 0.5 * (knots[:-1] + knots[1:]),
+                               np.random.default_rng(6).uniform(-2.0 * w, 2.0 * w, 8)])
+        for which, f in (("value", ker.value), ("d2", ker.second_derivative)):
+            oracle = [autocorrelation_by_quad(f, ker, lag) for lag in lags]
+            assert_allclose(ker.autocorrelation(lags, which), oracle, rtol=0, atol=1e-12)
 
     def test_cauchy_schwarz_bound(self, kernel):
         shifts = np.linspace(-7.0, 7.0, 141)

@@ -6,15 +6,22 @@ from grf_tomo import (
     NoiseModel,
     ReconstructionPlan,
     density_mismatch,
-    detector_response,
     gaussian_on_bins,
     histogram_density,
     histogram_density_2d,
+)
+from grf_tomo.recon import streaming_moments
+from conftest import (
+    CENTER,
+    DELTA_S,
+    EPS,
+    N_VIEWS,
+    OFFSET_A,
+    OFFSET_B,
+    detector_response,
     reconstruct_point,
     reconstruct_with_field,
 )
-from grf_tomo.recon import streaming_moments
-from conftest import CENTER, DELTA_S, EPS, N_VIEWS, OFFSET_A, OFFSET_B
 
 
 class TestDetectorResponse:
