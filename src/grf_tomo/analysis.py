@@ -138,6 +138,15 @@ def direction_degeneracy_fraction(geometry, x0, offset, samples=20000, tol=1e-3)
 
     Raises :class:`ValueError` for a zero offset or fewer than 10^4 samples.
     """
+    return float(degeneracy_tolerance_scan(geometry, x0, offset, [tol], samples)[0])
+
+
+def degeneracy_tolerance_scan(geometry, x0, offset, tols, samples=20000):
+    """:func:`direction_degeneracy_fraction` over a list of tolerances.
+
+    The Jacobian and its norms are computed once and thresholded at each
+    tolerance.
+    """
     offset = np.asarray(offset, dtype=float).ravel()
     if np.linalg.norm(offset) == 0:
         raise ValueError("offset must be nonzero")
@@ -147,14 +156,7 @@ def direction_degeneracy_fraction(geometry, x0, offset, samples=20000, tol=1e-3)
     jac = geometry.projection_gradient(np.asarray(x0, dtype=float), ys)
     directional = np.linalg.norm(jac @ offset, axis=-1)
     scale = np.sqrt(np.sum(jac**2, axis=(-2, -1))) * np.linalg.norm(offset)
-    return float(np.mean(directional < tol * scale))
-
-
-def degeneracy_tolerance_scan(geometry, x0, offset, tols, samples=20000):
-    """:func:`direction_degeneracy_fraction` over a list of tolerances."""
-    return np.array([
-        direction_degeneracy_fraction(geometry, x0, offset, samples, t) for t in tols
-    ])
+    return np.array([np.mean(directional < t * scale) for t in tols])
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,7 @@ import sys
 import numpy as np
 
 from . import __version__, analysis
-from .config import ConfigError, load as load_config, preset_path
+from .config import ASSERTION_RULES, ConfigError, load as load_config, preset_path
 from .covariance import CovariancePredictor, QuadratureConvergenceError
 from .geometry import DegenerateProjectionError, Radon2DGeometry
 from .kernel import Kernel
@@ -58,7 +58,7 @@ def _write_json(path, payload):
         fh.write("\n")
 
 
-def _manifest(out_dir, command, config, args, outputs, metrics):
+def _manifest(out_dir, command, config, args, outputs, metrics, assertions):
     path = os.path.join(out_dir, "manifest.json")
     _write_json(path, {
         "tool": "grf-tomo",
@@ -70,23 +70,15 @@ def _manifest(out_dir, command, config, args, outputs, metrics):
         "config": config.to_dict(),
         "outputs": sorted(os.path.basename(p) for p in outputs),
         "metrics": metrics,
+        "assertions": assertions,
     })
     return path
 
 
-class AssertionFailures(list):
-    def check(self, name, value, ok):
-        if not ok:
-            self.append(f"{name}: {value}")
-
-
-def _apply_overrides(config, args):
-    overrides = {}
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if args.realizations is not None:
-        overrides["realizations"] = args.realizations
-    return config.replace(**overrides) if overrides else config
+def _prediction(config):
+    predictor = CovariancePredictor(config.geometry, Kernel(config.kernel), config.center,
+                                    panels=config.panels, tolerance=config.tolerance)
+    return predictor, predictor.covariance_matrix(config.offsets)
 
 
 # ---------------------------------------------------------------------------
@@ -95,11 +87,7 @@ def _apply_overrides(config, args):
 
 
 def cmd_predict(config, args, out_dir):
-    predictor = CovariancePredictor(
-        config.geometry, Kernel(config.kernel), config.center,
-        panels=config.panels, tolerance=config.tolerance,
-    )
-    matrix = predictor.covariance_matrix(config.offsets)
+    predictor, matrix = _prediction(config)
     outputs = []
 
     path = os.path.join(out_dir, "cov_pred.json")
@@ -128,18 +116,7 @@ def cmd_predict(config, args, out_dir):
     metrics = {"variance": matrix[0, 0]}
     if matrix.shape[0] > 1:
         metrics["cross_covariance_first_pair"] = matrix[0, 1]
-
-    failures = AssertionFailures()
-    rules = config.assertions.get("predict", {})
-    if "variance" in rules:
-        target, tol = rules["variance"]
-        failures.check("predict.variance", matrix[0, 0],
-                       abs(matrix[0, 0] - target) <= tol)
-    if "cross_covariance" in rules and matrix.shape[0] > 1:
-        target, tol = rules["cross_covariance"]
-        failures.check("predict.cross_covariance", matrix[0, 1],
-                       abs(matrix[0, 1] - target) <= tol)
-    return outputs, metrics, failures
+    return outputs, metrics
 
 
 # ---------------------------------------------------------------------------
@@ -147,21 +124,10 @@ def cmd_predict(config, args, out_dir):
 # ---------------------------------------------------------------------------
 
 
-def _zero_offset_index(offsets):
-    hits = np.nonzero(np.all(offsets == 0.0, axis=1))[0]
-    return int(hits[0]) if hits.size else None
-
-
 def cmd_simulate(config, args, out_dir):
     stats = run_experiment(config, threads=args.threads)
-    predictor = CovariancePredictor(
-        config.geometry, Kernel(config.kernel), config.center,
-        panels=config.panels, tolerance=config.tolerance,
-    )
-    predicted = predictor.covariance_matrix(config.offsets)
+    _, predicted = _prediction(config)
     outputs = []
-    metrics = {}
-
     histograms = {}
     pdf_mismatch_1d = []
     for k in range(stats.offsets.shape[0]):
@@ -197,18 +163,17 @@ def cmd_simulate(config, args, out_dir):
                           "observed_density", "predicted_density"], rows)
         outputs.append(path)
 
-    pair = predicted[:2, :2] if predicted.shape[0] >= 2 else predicted
-    observed_pair = stats.covariance[:2, :2] if predicted.shape[0] >= 2 else stats.covariance
-    cov_mismatch = float(np.sum(np.abs(observed_pair - pair)) / np.sum(np.abs(pair)))
+    pair = predicted[:2, :2]
+    pair_mismatch = float(np.sum(np.abs(stats.covariance[:2, :2] - pair)) / np.sum(np.abs(pair)))
 
-    zero_idx = _zero_offset_index(stats.offsets)
-    metrics.update({
+    zero_idx = config.zero_offset_index
+    metrics = {
         "realizations": stats.n_realizations,
-        "covariance_mismatch_first_pair": cov_mismatch,
+        "covariance_mismatch_first_pair": pair_mismatch,
         "pdf_mismatch_1d": pdf_mismatch_1d,
         "pdf_mismatch_2d": mismatch_2d,
         "zero_offset_index": zero_idx,
-    })
+    }
     if zero_idx is not None:
         metrics["variance_at_center"] = stats.variance[zero_idx]
         metrics["predicted_variance"] = predicted[zero_idx, zero_idx]
@@ -225,23 +190,7 @@ def cmd_simulate(config, args, out_dir):
         "metrics": metrics,
     })
     outputs.append(path)
-
-    failures = AssertionFailures()
-    rules = config.assertions.get("simulate", {})
-    if "variance_rel" in rules and zero_idx is not None:
-        rel = abs(stats.variance[zero_idx] / predicted[zero_idx, zero_idx] - 1.0)
-        failures.check("simulate.variance_rel", rel, rel <= rules["variance_rel"])
-    if "cov_mismatch" in rules:
-        failures.check("simulate.cov_mismatch", cov_mismatch,
-                       cov_mismatch <= rules["cov_mismatch"])
-    if "pdf1d_mismatch" in rules and zero_idx is not None:
-        value = pdf_mismatch_1d[zero_idx]
-        failures.check("simulate.pdf1d_mismatch", value,
-                       value <= rules["pdf1d_mismatch"])
-    if "pdf2d_mismatch" in rules and mismatch_2d is not None:
-        failures.check("simulate.pdf2d_mismatch", mismatch_2d,
-                       mismatch_2d <= rules["pdf2d_mismatch"])
-    return outputs, metrics, failures
+    return outputs, metrics
 
 
 # ---------------------------------------------------------------------------
@@ -262,7 +211,7 @@ def cmd_check(config, args, out_dir):
     report = {}
 
     # algebraic projection identity on random admissible points
-    n_ellipse = int(checks.get("ellipse_samples", 10000))
+    n_ellipse = checks["ellipse_samples"]
     rho = geometry.admissible_fraction * geometry.radius * np.sqrt(rng.uniform(size=n_ellipse))
     phi = rng.uniform(0, 2 * np.pi, size=n_ellipse)
     pts = np.stack([rho * np.cos(phi), rho * np.sin(phi),
@@ -276,10 +225,9 @@ def cmd_check(config, args, out_dir):
     }
 
     # Hessian zero-set scans over a direction battery
-    points = checks.get("hessian_points") or [list(config.center)]
-    resolution = int(checks.get("hessian_resolution", 2000))
+    resolution = checks["hessian_resolution"]
     battery = []
-    for point in points:
+    for point in checks["hessian_points"]:
         reports = analysis.hessian_scan_battery(
             geometry, point, _hessian_directions(), resolution=resolution)
         degenerate = [r.direction.tolist() for r in reports if r.degenerate]
@@ -298,14 +246,13 @@ def cmd_check(config, args, out_dir):
     report["hessian_scans"] = battery
 
     # directional-degeneracy fractions with a tolerance scan
-    tols = checks.get("degeneracy_tols", [1e-2, 5e-3, 2.5e-3, 1.25e-3])
-    y2_samples = int(checks.get("degeneracy_samples", 20000))
+    tols = checks["degeneracy_tols"]
     scans = []
     for offset in config.offsets:
         if not np.any(offset):
             continue
         fractions = analysis.degeneracy_tolerance_scan(
-            geometry, config.center, offset, tols, samples=y2_samples)
+            geometry, config.center, offset, tols, samples=checks["degeneracy_samples"])
         scans.append({
             "offset": offset.tolist(),
             "tolerances": list(map(float, tols)),
@@ -320,11 +267,9 @@ def cmd_check(config, args, out_dir):
     report["radon2d_root_count"] = radon.count
 
     # exponential-sum decay for a quadratic phase with nonresonant slope
-    weyl_cfg = checks.get("weyl", {})
-    box = weyl_cfg.get("box", [0.2, 0.8])
-    exponents = weyl_cfg.get("exponents", [-2.0, -2.5, -3.0, -3.5, -4.0, -4.5])
+    box = checks["weyl"]["box"]
     decay = analysis.weyl_decay_table(lambda y: 0.5 * y**2, box,
-                                      exponents=exponents)
+                                      exponents=checks["weyl"]["exponents"])
     slope = decay.slope
     path = os.path.join(out_dir, "weyl.csv")
     _write_csv(path, ["eps", "magnitude"], zip(decay.eps_values, decay.magnitudes))
@@ -342,23 +287,9 @@ def cmd_check(config, args, out_dir):
     metrics = {
         "ellipse_max_abs_residual": report["ellipse_identity"]["max_abs_residual"],
         "weyl_slope": slope,
+        "degeneracy_fractions": [scan["fractions"] for scan in scans],
     }
-    failures = AssertionFailures()
-    rules = config.assertions.get("check", {})
-    if "ellipse_residual_scale" in rules:
-        bound = rules["ellipse_residual_scale"] * geometry.radius**4
-        value = report["ellipse_identity"]["max_abs_residual"]
-        failures.check("check.ellipse_residual", value, value < bound)
-    if "weyl_slope_max" in rules:
-        failures.check("check.weyl_slope", slope, slope <= rules["weyl_slope_max"])
-    if "y2_fraction_linear" in rules:
-        for scan in scans:
-            frac = scan["fractions"]
-            ratio_bound = rules["y2_fraction_linear"]
-            ok = all(frac[i + 1] <= 0.5 * frac[i] + ratio_bound
-                     for i in range(len(frac) - 1))
-            failures.check("check.y2_fraction_linear", frac, ok)
-    return outputs, metrics, failures
+    return outputs, metrics
 
 
 # ---------------------------------------------------------------------------
@@ -400,34 +331,41 @@ _COMMANDS = {"predict": cmd_predict, "simulate": cmd_simulate, "check": cmd_chec
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
-        config_path = args.config if args.config else preset_path("paper")
-        config = load_config(config_path)
-        config = _apply_overrides(config, args)
+        config = load_config(args.config or preset_path("paper"))
+        overrides = {key: getattr(args, key) for key in ("seed", "realizations")
+                     if getattr(args, key) is not None}
+        config = config.replace(**overrides) if overrides else config
     except (ConfigError, OSError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
-    out_dir = args.out
-    os.makedirs(out_dir, exist_ok=True)
+    os.makedirs(args.out, exist_ok=True)
     try:
-        outputs, metrics, failures = _COMMANDS[args.command](config, args, out_dir)
+        outputs, metrics = _COMMANDS[args.command](config, args, args.out)
     except (QuadratureConvergenceError, DegenerateProjectionError,
             FloatingPointError, np.linalg.LinAlgError, ValueError) as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 
-    outputs.append(_manifest(out_dir, args.command, config, args, outputs, metrics))
+    # every configured rule of the command, each a record in the manifest
+    assertions = []
+    for name, threshold in config.assertions.get(args.command, {}).items():
+        rule = ASSERTION_RULES[args.command][name]
+        value = rule.read(metrics)
+        assertions.append({"rule": f"assertions.{args.command}.{name}", "value": value,
+                           "threshold": threshold,
+                           "passed": bool(rule.passes(value, threshold, config))})
+    outputs.append(_manifest(args.out, args.command, config, args, outputs, metrics,
+                             assertions))
     for path in outputs:
         print(f"wrote {path}")
     for key, value in metrics.items():
         print(f"{key}: {value}")
 
-    if failures:
-        for failure in failures:
-            print(f"assertion failed: {failure}", file=sys.stderr)
-        if args.enforce:
-            return EXIT_ASSERT
-    return EXIT_OK
+    failed = [r for r in assertions if not r["passed"]]
+    for record in failed:
+        print(f"assertion failed: {record['rule']}: {record['value']}", file=sys.stderr)
+    return EXIT_ASSERT if failed and args.enforce else EXIT_OK
 
 
 if __name__ == "__main__":

@@ -2,16 +2,18 @@
 
 One JSON document drives all commands, with sections ``geometry``,
 ``kernel``, ``noise``, ``experiment``, and optional ``prediction``,
-``checks``, ``output`` and ``assertions``.  Validation errors carry the
-dotted path of the offending field.
+``checks`` and ``assertions``.  :data:`SCHEMA` declares every field with its
+default and constraint, and :data:`ASSERTION_RULES` every ``--assert`` rule.
+Validation errors carry the dotted path of the offending field.
 """
 
 from __future__ import annotations
 
+import copy
 import json
 import warnings
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -25,17 +27,166 @@ from .noise import NoiseModel
 # a warning.
 REQUIRED_SMOOTHNESS = 5
 
-# assertion rules the CLI evaluates, per command; predict rules are
-# [target, tolerance] pairs, all others single thresholds
-ASSERTION_RULES = {
-    "predict": ("variance", "cross_covariance"),
-    "simulate": ("variance_rel", "cov_mismatch", "pdf1d_mismatch", "pdf2d_mismatch"),
-    "check": ("ellipse_residual_scale", "weyl_slope_max", "y2_fraction_linear"),
-}
-
 
 class ConfigError(ValueError):
     """Invalid configuration; message names the offending field."""
+
+
+def _finite_number(v):
+    return isinstance(v, (int, float)) and not isinstance(v, bool) and bool(np.isfinite(v))
+
+
+def _positive(v):
+    return _finite_number(v) and v > 0
+
+
+def _integer(least):
+    return lambda v: isinstance(v, int) and not isinstance(v, bool) and v >= least
+
+
+def _list_of(each, least=1):
+    return lambda v: isinstance(v, list) and len(v) >= least and all(map(each, v))
+
+
+def _numbers(count):
+    return lambda v: isinstance(v, list) and len(v) == count and all(map(_finite_number, v))
+
+
+class Field(NamedTuple):
+    """One configuration field: its default and the constraint on its value.
+
+    ``default`` is a value, :data:`REQUIRED`, ``None`` for an optional field
+    that is left out when absent, or a function of the validated document so
+    far.  ``valid`` is a predicate described by ``expected``, or the schema
+    of a nested section.
+    """
+
+    default: object
+    valid: object
+    expected: str = "a JSON object"
+
+
+REQUIRED = object()
+PAIR = Field(None, _numbers(2), "[target, tolerance]")
+THRESHOLD = Field(None, _finite_number, "a finite number")
+
+CHECKS = {
+    "ellipse_samples": Field(10000, _integer(1), "an integer >= 1"),
+    "hessian_points": Field(lambda doc: [doc["experiment"]["center"]], _list_of(_numbers(3)),
+                            "a nonempty list of finite 3-vectors"),
+    "hessian_resolution": Field(2000, _integer(1000), "an integer >= 1000"),
+    "degeneracy_tols": Field([1e-2, 5e-3, 2.5e-3, 1.25e-3], _list_of(_positive),
+                             "a nonempty list of positive finite numbers"),
+    "degeneracy_samples": Field(20000, _integer(10**4), "an integer >= 10000"),
+    "weyl": Field({}, {
+        "box": Field([0.2, 0.8], lambda v: _numbers(2)(v) and v[0] < v[1],
+                     "a [lo, hi] pair of finite numbers with lo < hi"),
+        "exponents": Field([-2.0, -2.5, -3.0, -3.5, -4.0, -4.5],
+                           _list_of(_finite_number, 2), "at least 2 finite numbers"),
+    }),
+    "covariance_scan": Field(None, {
+        "direction": Field(REQUIRED, lambda v: _numbers(3)(v) and any(v),
+                           "a nonzero finite 3-vector"),
+        "radii": Field(REQUIRED, _list_of(_finite_number),
+                       "a nonempty list of finite numbers"),
+    }),
+}
+
+
+class AssertionRule(NamedTuple):
+    """One ``--assert`` rule.
+
+    ``shape`` is :data:`PAIR` or :data:`THRESHOLD`; ``passes(value,
+    threshold, config)`` compares the value that ``read`` takes from the
+    command's metrics; ``requires`` lists what the experiment must have for
+    the rule to apply, each as a description and a predicate on the config.
+    """
+
+    shape: Field
+    passes: Callable
+    read: Callable
+    requires: tuple = ()
+
+
+ZERO_OFFSET = ("a zero offset", lambda cfg: cfg.zero_offset_index is not None)
+NONZERO_OFFSET = ("a nonzero offset", lambda cfg: np.any(cfg.offsets))
+TWO_OFFSETS = ("at least two offsets", lambda cfg: len(cfg.offsets) >= 2)
+TWO_TOLS = ("at least two checks.degeneracy_tols",
+            lambda cfg: len(cfg.checks["degeneracy_tols"]) >= 2)
+
+
+def _within(value, pair, config):
+    return abs(value - pair[0]) <= pair[1]
+
+
+def _at_most(value, threshold, config):
+    return value <= threshold
+
+
+def _halving(fractions, slack, config):
+    return all(f[i + 1] <= 0.5 * f[i] + slack for f in fractions for i in range(len(f) - 1))
+
+
+ASSERTION_RULES = {
+    "predict": {
+        "variance": AssertionRule(PAIR, _within, lambda m: m["variance"]),
+        "cross_covariance": AssertionRule(
+            PAIR, _within, lambda m: m["cross_covariance_first_pair"], (TWO_OFFSETS,)),
+    },
+    "simulate": {
+        "variance_rel": AssertionRule(THRESHOLD, _at_most, lambda m: abs(
+            m["variance_at_center"] / m["predicted_variance"] - 1.0), (ZERO_OFFSET,)),
+        "cov_mismatch": AssertionRule(
+            THRESHOLD, _at_most, lambda m: m["covariance_mismatch_first_pair"]),
+        "pdf1d_mismatch": AssertionRule(
+            THRESHOLD, _at_most, lambda m: m["pdf_mismatch_1d"][m["zero_offset_index"]],
+            (ZERO_OFFSET,)),
+        "pdf2d_mismatch": AssertionRule(
+            THRESHOLD, _at_most, lambda m: m["pdf_mismatch_2d"], (TWO_OFFSETS,)),
+    },
+    "check": {
+        "ellipse_residual_scale": AssertionRule(
+            THRESHOLD, lambda value, scale, cfg: value < scale * cfg.geometry.radius**4,
+            lambda m: m["ellipse_max_abs_residual"]),
+        "weyl_slope_max": AssertionRule(THRESHOLD, _at_most, lambda m: m["weyl_slope"]),
+        "y2_fraction_linear": AssertionRule(
+            THRESHOLD, _halving, lambda m: m["degeneracy_fractions"], (NONZERO_OFFSET, TWO_TOLS)),
+    },
+}
+
+SCHEMA = {
+    "geometry": Field(REQUIRED, {
+        "radius": Field(REQUIRED, _positive, "a number > 0"),
+        "admissible_fraction": Field(0.9, lambda v: _finite_number(v) and 0 < v < 1,
+                                     "a number in (0, 1)"),
+    }),
+    "kernel": Field(REQUIRED, {
+        "half_width": Field(REQUIRED, _positive, "a number > 0"),
+        "exponent": Field(REQUIRED, _integer(1), "an integer >= 1"),
+    }),
+    "noise": Field(REQUIRED, {
+        "seed": Field(REQUIRED, lambda v: _integer(0)(v) and v < 2**64,
+                      "a 64-bit unsigned integer"),
+    }),
+    "experiment": Field(REQUIRED, {
+        "center": Field(REQUIRED, _numbers(3), "a finite 3-vector"),
+        "offsets": Field(REQUIRED, _list_of(_numbers(3)), "a nonempty list of finite 3-vectors"),
+        "detector_step": Field(REQUIRED, _positive, "a number > 0"),
+        "n_views": Field(REQUIRED, _integer(1), "an integer >= 1"),
+        "view_step": Field(None, _finite_number, "a finite number"),
+        "realizations": Field(REQUIRED, _integer(2), "an integer >= 2"),
+        "bins": Field(REQUIRED, _integer(2), "an integer >= 2"),
+    }),
+    "prediction": Field({}, {
+        "panels": Field(2000, _integer(1), "an integer >= 1"),
+        "tolerance": Field(1e-4, _positive, "a number > 0"),
+    }),
+    "checks": Field({}, CHECKS),
+    "assertions": Field({}, {
+        command: Field(None, {name: rule.shape for name, rule in rules.items()})
+        for command, rules in ASSERTION_RULES.items()
+    }),
+}
 
 
 @dataclass
@@ -52,14 +203,20 @@ class ExperimentConfig:
     realizations: int
     bins: int
     seed: int
-    panels: int = 2000
-    tolerance: float = 1e-4
-    checks: dict = field(default_factory=dict)
-    assertions: dict = field(default_factory=dict)
+    panels: int
+    tolerance: float
+    checks: dict
+    assertions: dict
 
     @property
     def delta_s(self):
         return TWO_PI / self.n_views
+
+    @property
+    def zero_offset_index(self):
+        """Index of the first all-zero offset, or ``None``."""
+        hits = np.nonzero(np.all(self.offsets == 0.0, axis=1))[0]
+        return int(hits[0]) if hits.size else None
 
     def replace(self, **overrides):
         """Copy with some experiment fields replaced (revalidated)."""
@@ -75,186 +232,90 @@ class ExperimentConfig:
         return from_dict(data)
 
     def to_dict(self):
+        """The validated document, defaults filled in; :func:`from_dict` rebuilds ``self``."""
+        geo, ker = self.geometry, self.kernel
         return {
-            "geometry": {
-                "radius": self.geometry.radius,
-                "admissible_fraction": self.geometry.admissible_fraction,
-            },
-            "kernel": {
-                "half_width": self.kernel.half_width,
-                "exponent": self.kernel.exponent,
-            },
+            "geometry": {"radius": geo.radius, "admissible_fraction": geo.admissible_fraction},
+            "kernel": {"half_width": ker.half_width, "exponent": ker.exponent},
             "noise": {"seed": self.seed},
-            "experiment": {
-                "center": list(self.center),
-                "offsets": [list(o) for o in self.offsets],
-                "detector_step": self.eps,
-                "n_views": self.n_views,
-                "realizations": self.realizations,
-                "bins": self.bins,
-            },
+            "experiment": {"center": list(self.center), "offsets": [list(o) for o in self.offsets],
+                           "detector_step": self.eps, "n_views": self.n_views,
+                           "realizations": self.realizations, "bins": self.bins},
             "prediction": {"panels": self.panels, "tolerance": self.tolerance},
             "checks": self.checks,
             "assertions": self.assertions,
         }
 
 
-def _require(section, key, path, types, predicate=None, describe=""):
-    if key not in section:
-        raise ConfigError(f"{path}: missing required field")
-    value = section[key]
-    if not isinstance(value, types) or isinstance(value, bool):
-        raise ConfigError(f"{path}: expected {describe or 'a number'}")
-    if predicate is not None and not predicate(value):
-        raise ConfigError(f"{path}: {describe}")
-    return value
-
-
-def _vector3(obj, path):
-    try:
-        vec = np.asarray(obj, dtype=float)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{path}: expected a 3-vector") from None
-    if vec.shape != (3,) or not np.all(np.isfinite(vec)):
-        raise ConfigError(f"{path}: expected a finite 3-vector")
-    return vec
+def _section(data, schema, path="", doc=None):
+    """Validate ``data`` against ``schema``; return a copy with defaults filled in."""
+    if not isinstance(data, dict):
+        raise ConfigError(f"{path or 'top level'}: expected a JSON object")
+    prefix = f"{path}." if path else ""
+    for key in data:
+        if key not in schema:
+            raise ConfigError(f"{prefix}{key}: unknown field; "
+                              f"expected one of {', '.join(schema)}")
+    out = {}
+    doc = out if doc is None else doc
+    for key, spec in schema.items():
+        sub = prefix + key
+        if key in data:
+            value = data[key]
+        elif spec.default is REQUIRED:
+            raise ConfigError(f"{sub}: missing required field")
+        elif spec.default is None:
+            continue
+        else:
+            value = spec.default(doc) if callable(spec.default) else copy.deepcopy(spec.default)
+        if isinstance(spec.valid, dict):
+            value = _section(value, spec.valid, sub, doc)
+        elif not spec.valid(value):
+            raise ConfigError(f"{sub}: expected {spec.expected}")
+        out[key] = value
+    return out
 
 
 def from_dict(data):
     """Build a validated :class:`ExperimentConfig` from plain dictionaries."""
-    if not isinstance(data, dict):
-        raise ConfigError("top level: expected a JSON object")
-    for section in ("geometry", "kernel", "noise", "experiment"):
-        if section not in data or not isinstance(data[section], dict):
-            raise ConfigError(f"{section}: missing section")
-
-    geo = data["geometry"]
-    radius = _require(geo, "radius", "geometry.radius", (int, float),
-                      lambda v: v > 0, "must be > 0")
-    fraction = geo.get("admissible_fraction", 0.9)
-    if not isinstance(fraction, (int, float)) or not 0 < fraction < 1:
-        raise ConfigError("geometry.admissible_fraction: must lie in (0, 1)")
-    geometry = ConeBeamGeometry(radius=float(radius),
-                                admissible_fraction=float(fraction))
-
-    ker = data["kernel"]
-    half_width = _require(ker, "half_width", "kernel.half_width", (int, float),
-                          lambda v: v > 0, "must be > 0")
-    exponent = _require(ker, "exponent", "kernel.exponent", int,
-                        lambda v: v >= 1, "must be an integer >= 1")
-    kernel = KernelSpec(half_width=float(half_width), exponent=int(exponent))
+    data = _section(data, SCHEMA)
+    geo, ker, exp, pred = (data[k] for k in ("geometry", "kernel", "experiment", "prediction"))
+    kernel = KernelSpec(half_width=float(ker["half_width"]), exponent=ker["exponent"])
     if kernel.smoothness <= REQUIRED_SMOOTHNESS:
-        warnings.warn(
-            f"kernel.exponent: smoothness {kernel.smoothness} does not exceed "
-            f"the {REQUIRED_SMOOTHNESS} continuous derivatives the limit "
-            "theory asks for; results follow the reference experiment anyway",
-            UserWarning,
-            stacklevel=2,
-        )
+        warnings.warn(f"kernel.exponent: smoothness {kernel.smoothness} does not exceed the "
+                      f"{REQUIRED_SMOOTHNESS} continuous derivatives the limit theory asks "
+                      "for; results follow the reference experiment anyway", UserWarning,
+                      stacklevel=2)
+    n_views = exp["n_views"]
+    if "view_step" in exp and abs(exp["view_step"] * n_views - TWO_PI) > 1e-12:
+        raise ConfigError("experiment.view_step: view_step * n_views must equal 2*pi")
 
-    seed = _require(data["noise"], "seed", "noise.seed", int,
-                    lambda v: 0 <= v < 2**64, "must be a 64-bit unsigned integer")
-
-    exp = data["experiment"]
-    eps = _require(exp, "detector_step", "experiment.detector_step", (int, float),
-                   lambda v: v > 0, "must be > 0")
-    n_views = _require(exp, "n_views", "experiment.n_views", int,
-                       lambda v: v >= 1, "must be an integer >= 1")
-    if "view_step" in exp:
-        declared = exp["view_step"]
-        if not isinstance(declared, (int, float)) or \
-                abs(declared * n_views - TWO_PI) > 1e-12:
-            raise ConfigError(
-                "experiment.view_step: view_step * n_views must equal 2*pi"
-            )
-    realizations = _require(exp, "realizations", "experiment.realizations", int,
-                            lambda v: v >= 2, "must be an integer >= 2")
-    bins = _require(exp, "bins", "experiment.bins", int,
-                    lambda v: v >= 2, "must be an integer >= 2")
-    center = _vector3(exp.get("center"), "experiment.center")
-    raw_offsets = exp.get("offsets")
-    if not isinstance(raw_offsets, list) or not raw_offsets:
-        raise ConfigError("experiment.offsets: expected a nonempty list of 3-vectors")
-    offsets = np.stack([
-        _vector3(o, f"experiment.offsets[{i}]") for i, o in enumerate(raw_offsets)
-    ])
-
-    pred = data.get("prediction", {})
-    panels = pred.get("panels", 2000)
-    tolerance = pred.get("tolerance", 1e-4)
-    if not isinstance(panels, int) or panels < 1:
-        raise ConfigError("prediction.panels: must be an integer >= 1")
-    if not isinstance(tolerance, (int, float)) or tolerance <= 0:
-        raise ConfigError("prediction.tolerance: must be > 0")
-
-    checks = _checks(data.get("checks", {}))
-    assertions = _assertions(data.get("assertions", {}))
-
-    delta_s = TWO_PI / n_views
-    noise = NoiseModel(eps=float(eps), delta_s=delta_s, seed=int(seed))
-
+    eps, seed = float(exp["detector_step"]), data["noise"]["seed"]
     config = ExperimentConfig(
-        geometry=geometry,
+        geometry=ConeBeamGeometry(radius=float(geo["radius"]),
+                                  admissible_fraction=float(geo["admissible_fraction"])),
         kernel=kernel,
-        noise=noise,
-        center=center,
-        offsets=offsets,
-        eps=float(eps),
-        n_views=int(n_views),
-        realizations=int(realizations),
-        bins=int(bins),
-        seed=int(seed),
-        panels=int(panels),
-        tolerance=float(tolerance),
-        checks=checks,
-        assertions=assertions,
+        noise=NoiseModel(eps=eps, delta_s=TWO_PI / n_views, seed=seed),
+        center=np.asarray(exp["center"], dtype=float),
+        offsets=np.asarray(exp["offsets"], dtype=float),
+        eps=eps,
+        n_views=n_views,
+        realizations=exp["realizations"],
+        bins=exp["bins"],
+        seed=seed,
+        panels=pred["panels"],
+        tolerance=float(pred["tolerance"]),
+        checks=data["checks"],
+        assertions=data["assertions"],
     )
+    for command, rules in config.assertions.items():
+        for name in rules:
+            for needs, met in ASSERTION_RULES[command][name].requires:
+                if not met(config):
+                    raise ConfigError(f"assertions.{command}.{name}: the experiment needs "
+                                      f"{needs} for this rule")
     _validate_admissibility(config)
     return config
-
-
-def _finite_number(value):
-    return isinstance(value, (int, float)) and not isinstance(value, bool) \
-        and np.isfinite(value)
-
-
-def _checks(checks):
-    if not isinstance(checks, dict):
-        raise ConfigError("checks: expected a JSON object")
-    scan = checks.get("covariance_scan")
-    if scan is not None:
-        path = "checks.covariance_scan"
-        if not isinstance(scan, dict):
-            raise ConfigError(f"{path}: expected a JSON object")
-        if not np.any(_vector3(scan.get("direction"), f"{path}.direction")):
-            raise ConfigError(f"{path}.direction: must be nonzero")
-        radii = scan.get("radii")
-        if not isinstance(radii, list) or not radii or not all(map(_finite_number, radii)):
-            raise ConfigError(f"{path}.radii: expected a nonempty list of finite numbers")
-    return checks
-
-
-def _assertions(assertions):
-    if not isinstance(assertions, dict):
-        raise ConfigError("assertions: expected a JSON object")
-    for command, rules in assertions.items():
-        known = ASSERTION_RULES.get(command)
-        if known is None:
-            raise ConfigError(f"assertions.{command}: unknown command; "
-                              f"expected one of {', '.join(ASSERTION_RULES)}")
-        if not isinstance(rules, dict):
-            raise ConfigError(f"assertions.{command}: expected a JSON object")
-        for name, value in rules.items():
-            path = f"assertions.{command}.{name}"
-            if name not in known:
-                raise ConfigError(f"{path}: unknown rule; expected one of {', '.join(known)}")
-            if command != "predict":
-                if not _finite_number(value):
-                    raise ConfigError(f"{path}: expected a finite number")
-            elif not (isinstance(value, list) and len(value) == 2
-                      and all(map(_finite_number, value))):
-                raise ConfigError(f"{path}: expected [target, tolerance]")
-    return assertions
 
 
 def _validate_admissibility(config):

@@ -79,6 +79,10 @@ class TestDirectionDegeneracy:
             assert_allclose(frac, 2.0 * tol / np.pi, rtol=0.08)
         ratios = fractions[:-1] / fractions[1:]
         assert np.all((1.8 < ratios) & (ratios < 2.2))
+        # the scan thresholds one Jacobian; each tolerance alone gives the same bits
+        assert np.array_equal(fractions, [
+            direction_degeneracy_fraction(RADON, [0.0, 0.0], offset, samples=200000, tol=t)
+            for t in tols])
 
     def test_radon_fraction_vanishes_with_tolerance(self):
         frac = direction_degeneracy_fraction(RADON, [0.0, 0.0], [0.3, -0.4],

@@ -5,10 +5,11 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from grf_tomo import ConfigError, load_config
 from grf_tomo import cli
-from grf_tomo.config import from_dict, preset_path
+from grf_tomo.config import ASSERTION_RULES, CHECKS, PAIR, from_dict, preset_path
 
 
 def base_config():
@@ -26,6 +27,49 @@ def base_config():
             "bins": 5,
         },
     }
+
+
+def _finite(lo=-5.0, hi=5.0):
+    return st.floats(lo, hi, allow_nan=False, allow_infinity=False)
+
+
+_vec3 = st.lists(_finite(), min_size=3, max_size=3)
+
+
+@st.composite
+def valid_configs(draw):
+    """Valid configuration documents with random subsets of optional fields."""
+    data = base_config()
+    data["geometry"]["radius"] = draw(_finite(5.0, 50.0))
+    data["kernel"] = {"half_width": draw(_finite(0.1, 5.0)), "exponent": draw(st.integers(1, 8))}
+    data["noise"]["seed"] = draw(st.integers(0, 2**64 - 1))
+    exp = data["experiment"]
+    exp["center"] = [draw(_finite(-1.0, 1.0)), draw(_finite(-1.0, 1.0)), draw(_finite())]
+    # a zero and a nonzero offset, so that every assertion rule applies
+    exp["offsets"] = draw(st.lists(_vec3.filter(any), min_size=1, max_size=3)) + [[0.0, 0.0, 0.0]]
+    exp["n_views"] = draw(st.integers(1, 600))
+    exp["realizations"] = draw(st.integers(2, 10**5))
+    data["prediction"] = draw(st.fixed_dictionaries({}, optional={
+        "panels": st.integers(1, 5000), "tolerance": _finite(1e-9, 1.0)}))
+    box = st.tuples(_finite(), _finite()).filter(lambda p: p[0] < p[1]).map(list)
+    data["checks"] = draw(st.fixed_dictionaries({}, optional={
+        "ellipse_samples": st.integers(1, 10**5),
+        "hessian_points": st.lists(_vec3, min_size=1, max_size=3),
+        "hessian_resolution": st.integers(1000, 10**4),
+        "degeneracy_tols": st.lists(_finite(1e-6, 1.0), min_size=2, max_size=5),
+        "degeneracy_samples": st.integers(10**4, 10**5),
+        "weyl": st.fixed_dictionaries({}, optional={
+            "box": box, "exponents": st.lists(_finite(), min_size=2, max_size=6)}),
+        "covariance_scan": st.fixed_dictionaries({
+            "direction": _vec3.filter(any), "radii": st.lists(_finite(), min_size=1)}),
+    }))
+    data["assertions"] = {
+        command: draw(st.fixed_dictionaries({}, optional={
+            name: st.lists(_finite(), min_size=2, max_size=2) if rule.shape is PAIR
+            else _finite() for name, rule in rules.items()}))
+        for command, rules in ASSERTION_RULES.items()
+    }
+    return data
 
 
 def write_config(tmp_path, data, name="config.json"):
@@ -96,6 +140,18 @@ class TestConfigValidation:
             warnings.simplefilter("always")
             from_dict(base_config())
         assert any("smoothness" in str(w.message) for w in caught)
+
+    @settings(deadline=None, max_examples=60,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=valid_configs())
+    def test_round_trip(self, data):
+        cfg = from_dict(data)
+        again = from_dict(cfg.to_dict())
+        assert again.to_dict() == cfg.to_dict()
+        assert np.array_equal(again.offsets, cfg.offsets)
+        # every checks field but the optional scan carries its value or default
+        assert set(CHECKS) - set(again.checks) <= {"covariance_scan"}
+        assert again.checks.get("covariance_scan") == data["checks"].get("covariance_scan")
 
     def test_replace_overrides(self):
         cfg = from_dict(base_config())
@@ -204,14 +260,46 @@ class TestCli:
         assert cli.main(["predict", "--config", path,
                          "--out", str(tmp_path / "n")]) == 3
 
-    def test_assert_mode_exit_codes(self, tmp_path):
+    def test_assert_mode_exit_codes(self, tmp_path, capsys):
         data = base_config()
-        data["assertions"] = {"predict": {"variance": [99.0, 1e-4]}}
+        data["assertions"] = {"predict": {"variance": [99.0, 1e-4],
+                                          "cross_covariance": [0.011, 0.002]}}
         path = write_config(tmp_path, data)
         out = tmp_path / "fail"
         assert cli.main(["predict", "--config", path, "--out", str(out)]) == 0
         assert cli.main(["predict", "--config", path, "--out", str(out),
                          "--assert"]) == 4
+        assert "assertion failed: assertions.predict.variance" in capsys.readouterr().err
+        manifest = json.loads((out / "manifest.json").read_text())
+        records = {r["rule"]: r for r in manifest["assertions"]}
+        assert set(records) == {"assertions.predict.variance",
+                                "assertions.predict.cross_covariance"}
+        variance = records["assertions.predict.variance"]
+        assert variance["threshold"] == [99.0, 1e-4] and variance["passed"] is False
+        assert abs(variance["value"] - 0.485) < 0.002
+        assert records["assertions.predict.cross_covariance"]["passed"] is True
+
+    @pytest.mark.parametrize("command,field,sections,offsets", [
+        ("check", "checks.ellipse_samples", {"checks": {"ellipse_samples": "many"}}, None),
+        ("check", "checks.degeneracy_tols", {"checks": {"degeneracy_tols": "tight"}}, None),
+        ("check", "checks.weyl.box", {"checks": {"weyl": {"box": [0.8, 0.2]}}}, None),
+        ("check", "checks.ellipse_sample", {"checks": {"ellipse_sample": 100}}, None),
+        ("predict", "assertions.predict.cross_covariance",
+         {"assertions": {"predict": {"cross_covariance": [99.0, 1e-9]}}}, [[0.0, 0.0, 0.0]]),
+        ("simulate", "assertions.simulate.variance_rel",
+         {"assertions": {"simulate": {"variance_rel": 0.08}}}, [[2.159, 3.075, -0.418]]),
+    ])
+    def test_load_time_fault_exits_2(self, tmp_path, capsys, command, field, sections,
+                                     offsets):
+        data = base_config()
+        data.update(copy.deepcopy(sections))
+        if offsets is not None:
+            data["experiment"]["offsets"] = offsets
+        out = tmp_path / "out"
+        assert cli.main([command, "--config", write_config(tmp_path, data),
+                         "--out", str(out), "--assert"]) == 2
+        assert f"{field}:" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_scan_without_fields_exits_2(self, tmp_path, capsys):
         data = base_config()

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 from scipy.integrate import quad
 
@@ -78,6 +79,20 @@ class TestValue:
         for t in [0.0, 0.4 * w, 0.9 * w]:
             assert_allclose(ker.value(t), defining_integral(t, half_width, exponent),
                             rtol=0, atol=1e-10)
+
+    @settings(deadline=None, max_examples=40)
+    @given(half_width=st.floats(0.1, 5.0), exponent=st.integers(1, 8))
+    def test_even_with_unit_mass(self, half_width, exponent):
+        ker = Kernel(KernelSpec(half_width, exponent))
+        t = np.linspace(0.0, 1.1 * ker.spec.support, 257)
+        assert np.array_equal(ker.value(t), ker.value(-t))
+        # each piece has degree 2 * exponent + 2, which exponent + 2
+        # Gauss-Legendre nodes integrate exactly
+        nodes, weights = np.polynomial.legendre.leggauss(exponent + 2)
+        b = ker.breakpoints
+        mid, half = 0.5 * (b[1:] + b[:-1]), 0.5 * (b[1:] - b[:-1])
+        mass = np.sum(ker.value(mid[:, None] + half[:, None] * nodes) * half[:, None] * weights)
+        assert abs(mass - 1.0) < 1e-13
 
     def test_even_bitwise(self, kernel):
         t = np.linspace(0.0, 4.0, 1001)
