@@ -28,19 +28,28 @@ _MUL2 = _U64(0x94D049BB133111EB)
 _TAG_SITE = _U64(0x53497445A1B2C3D4)
 _TAG_STREAM = _U64(0x5374526541226788)
 
-def _mix(h):
-    """SplitMix64 finalizer: a well-avalanched bijection on 64-bit words."""
+def _mix(h, scratch):
+    """SplitMix64 finalizer, in place on the uint64 array ``h``.
+
+    A well-avalanched bijection on 64-bit words.  ``scratch`` is a uint64
+    array of ``h``'s shape that is overwritten.
+    """
     # uint64 arithmetic wraps by design
     with np.errstate(over="ignore"):
-        h = (h ^ (h >> _U64(30))) * _MUL1
-        h = (h ^ (h >> _U64(27))) * _MUL2
-        return h ^ (h >> _U64(31))
+        for shift, factor in ((30, _MUL1), (27, _MUL2)):
+            np.right_shift(h, _U64(shift), out=scratch)
+            np.bitwise_xor(h, scratch, out=h)
+            np.multiply(h, factor, out=h)
+        np.right_shift(h, _U64(31), out=scratch)
+        np.bitwise_xor(h, scratch, out=h)
+    return h
 
 
 def _absorb(h, word):
     """Fold one 64-bit word into the running hash."""
     with np.errstate(over="ignore"):
-        return _mix((h + _GOLDEN) ^ word)
+        h = np.asarray((h + _GOLDEN) ^ word)    # a fresh array, even for scalars
+    return _mix(h, np.empty_like(h))[()]
 
 
 def _to_u64(values):
@@ -66,14 +75,29 @@ def stream_keys(seed, realization):
     return _absorb(h, _to_u64(realization))
 
 
+def uniform_into(site, stream, bits, out):
+    """Write the uniforms of the keys ``site ^ stream`` into ``out``; return ``out``.
+
+    ``site`` and ``stream`` broadcast to the float64 array ``out``; ``bits``
+    is a uint64 array of that shape that is overwritten.  Nothing else is
+    allocated, so a caller can hash a large table in fixed-size blocks.
+    """
+    np.bitwise_xor(site, stream, out=bits)
+    _mix(bits, out.view(_U64))
+    np.right_shift(bits, _U64(11), out=bits)
+    np.multiply(bits, 2.0**-52, out=out)
+    return np.subtract(out, 1.0, out=out)
+
+
 def uniform_from_keys(site, stream):
     """Map hashed keys to uniforms on ``[-1, 1)``; broadcasts its arguments.
 
     Uses the top 53 bits of the combined hash, so the draws take 2^53
     equispaced values and reproduce bit-for-bit everywhere.
     """
-    bits = _mix(np.asarray(site) ^ np.asarray(stream))
-    return (bits >> _U64(11)) * 2.0**-52 - 1.0
+    shape = np.broadcast_shapes(np.shape(site), np.shape(stream))
+    out = np.empty(shape)
+    return uniform_into(site, stream, np.empty(shape, _U64), out)[()]
 
 
 def modulation_field(s, u, v):

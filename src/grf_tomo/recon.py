@@ -24,7 +24,13 @@ from . import noise as noise_mod
 from .kernel import Kernel
 
 _INDEX_BIAS = 1 << 20          # detector indices packed as 21-bit biased ints
-_BATCH = 32                    # realizations per batch; fixed for determinism
+# Realizations per batch and sites per hashing block.  Neither fixes the
+# output bits: each point adds its terms one after another in site order,
+# and every batch width >= 2 and every block size keeps that order.  A
+# batch works in three _SITE_BLOCK x _BATCH buffers (hash words, draws and
+# one point's terms), 512 KB apiece, so they stay in a 2 MB L2 cache.
+_BATCH = 128
+_SITE_BLOCK = 512
 
 
 def _footprint_bounds(coord, support, margin):
@@ -111,6 +117,14 @@ class ReconstructionPlan:
         self.site_k2 = (site_pack & (2**21 - 1)).astype(np.int64) - _INDEX_BIAS
         self._gather = [np.searchsorted(site_pack, p) for p in packed_per_point]
         self._weights = weights_per_point
+        # the batch kernel hashes the sites in blocks of _SITE_BLOCK; each
+        # point's terms in a block are gather[splits[b]:splits[b + 1]], in
+        # the same increasing site order as the unblocked sum
+        block_starts = np.arange(0, site_pack.size + _SITE_BLOCK, _SITE_BLOCK)
+        self._splits = []
+        for idx in self._gather:
+            assert np.all(np.diff(idx) > 0), "plan terms must follow site order"
+            self._splits.append(np.searchsorted(idx, block_starts))
         self._site_keys = noise_mod.site_keys(self.site_j, self.site_k1, self.site_k2)
         self._site_amp = noise_model.scale * noise_model._modulation(
             self.site_j * noise_model.delta_s, eps * self.site_k1, eps * self.site_k2
@@ -136,13 +150,37 @@ class ReconstructionPlan:
         return self._prefactor**2 * (dense * site_var[:, None]).T @ dense
 
     def _run_batch(self, realizations):
-        streams = noise_mod.stream_keys(self.noise_model.seed, realizations)
-        nu = noise_mod.uniform_from_keys(self._site_keys[:, None], streams[None, :])
-        eta = self._site_amp[:, None] * nu
-        out = np.empty((realizations.size, len(self._weights)))
-        for l, (idx, w) in enumerate(zip(self._gather, self._weights)):
-            out[:, l] = self._prefactor * np.add.reduce(w[:, None] * eta[idx], axis=0)
-        return out
+        if realizations.size == 1:
+            # a one-column sum would reduce pairwise; two columns keep the
+            # sequential order, and so the bits of any other batch
+            return self._run_batch(np.repeat(realizations, 2))[:1]
+        streams = noise_mod.stream_keys(self.noise_model.seed, realizations)[None, :]
+        width = realizations.size
+        bits = np.empty((_SITE_BLOCK, width), dtype=np.uint64)
+        eta = np.empty((_SITE_BLOCK, width))
+        # row 0 carries the point's running sum into the next block's reduce
+        terms = np.empty((_SITE_BLOCK + 1, width))
+        acc = np.zeros((len(self._weights), width))
+        for block, lo in enumerate(range(0, self.n_sites, _SITE_BLOCK)):
+            hi = min(lo + _SITE_BLOCK, self.n_sites)
+            block_eta = noise_mod.uniform_into(self._site_keys[lo:hi, None], streams,
+                                               bits[:hi - lo], eta[:hi - lo])
+            np.multiply(block_eta, self._site_amp[lo:hi, None], out=block_eta)
+            for l, (idx, w, splits) in enumerate(zip(self._gather, self._weights,
+                                                     self._splits)):
+                a, b = splits[block], splits[block + 1]
+                if a == b:
+                    continue
+                rows = terms[1:b - a + 1]
+                # indices are in range by construction; mode="raise" would
+                # copy through a temporary of the output's size
+                np.take(eta, idx[a:b] - lo, axis=0, out=rows, mode="clip")
+                np.multiply(rows, w[a:b, None], out=rows)
+                if a > 0:
+                    terms[0] = acc[l]
+                    rows = terms[:b - a + 1]
+                np.add.reduce(rows, axis=0, out=acc[l])
+        return self._prefactor * acc.T
 
     def reconstruct(self, realizations, threads=None):
         """Reconstruction values for the given realization indices.

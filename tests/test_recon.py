@@ -1,5 +1,10 @@
+import hashlib
+import tracemalloc
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from grf_tomo import (
@@ -9,8 +14,10 @@ from grf_tomo import (
     gaussian_on_bins,
     histogram_density,
     histogram_density_2d,
+    load_config,
 )
-from grf_tomo.recon import streaming_moments
+from grf_tomo.config import preset_path
+from grf_tomo.recon import _BATCH, streaming_moments
 from conftest import (
     CENTER,
     DELTA_S,
@@ -22,6 +29,42 @@ from conftest import (
     reconstruct_point,
     reconstruct_with_field,
 )
+
+
+def ci_plan(seed):
+    """Reconstruction plan for the ``ci.json`` points at the given seed."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)    # the preset's smoothness note
+        cfg = load_config(preset_path("ci")).replace(seed=seed)
+    points = cfg.center + cfg.eps * cfg.offsets
+    return ReconstructionPlan(cfg.geometry, cfg.kernel, cfg.noise, points)
+
+
+# sha256 of reconstruct(arange(1000), threads=2) for the ci.json points, taken
+# from the unblocked batch kernel; a change to the kernel must keep them
+GOLDEN_DIGESTS = {
+    0: "744feb7dbd2d3461b80237d72d5accb1252e9a15dda8de013218f162ae483fe5",
+    20240601: "ef355fe0349e5636be64ae8767e7c6af3dc56e53c63bc733fac1e94dc1104ff9",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(GOLDEN_DIGESTS))
+def test_golden_reconstruct_digests(seed):
+    out = ci_plan(seed).reconstruct(np.arange(1000), threads=2)
+    assert hashlib.sha256(out.tobytes()).hexdigest() == GOLDEN_DIGESTS[seed]
+
+
+def test_batch_working_set_is_bounded():
+    # the kernel works in fixed site blocks, so its buffers do not grow with
+    # the site count (46,226 here); unblocked, the peak was 69 MB
+    plan = ci_plan(20240601)
+    tracemalloc.start()
+    try:
+        plan.reconstruct(np.arange(256), threads=2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16e6
 
 
 class TestDetectorResponse:
@@ -99,6 +142,14 @@ class TestPlan:
         assert padded.n_sites > tight.n_sites
         assert np.array_equal(tight.reconstruct(r), padded.reconstruct(r))
 
+    def test_batch_of_one_keeps_bits(self, geometry, kernel, noise_model):
+        plan = ReconstructionPlan(geometry, kernel, noise_model,
+                                  [CENTER, CENTER + EPS * OFFSET_A])
+        full = plan.reconstruct(np.arange(_BATCH + 1))
+        assert np.array_equal(plan.reconstruct([5]), full[5:6])
+        # the last realization of this run fills a batch on its own
+        assert np.array_equal(full[_BATCH], plan.reconstruct([_BATCH, 0])[0])
+
     def test_point_set_does_not_change_bits(self, geometry, kernel, noise_model):
         together = ReconstructionPlan(
             geometry, kernel, noise_model,
@@ -168,6 +219,25 @@ class TestPlan:
                 stderr = np.sqrt((exact[i, i] * exact[j, j] + exact[i, j] ** 2)
                                  / (n - 1))
                 assert abs(observed[i, j] - exact[i, j]) < 4.5 * stderr
+
+
+@pytest.fixture(scope="module")
+def margin_plans(geometry, kernel, noise_model):
+    points = [CENTER + EPS * OFFSET_B, CENTER]
+    plans = {m: ReconstructionPlan(geometry, kernel, noise_model, points,
+                                   footprint_margin=m) for m in range(4)}
+    return plans, plans[0].reconstruct(np.arange(300))
+
+
+@settings(max_examples=25, deadline=None)
+@given(margin=st.integers(0, 3), threads=st.integers(1, 3),
+       subset=st.lists(st.integers(0, 299), min_size=1, max_size=140))
+def test_plan_invariance(margin_plans, margin, threads, subset):
+    # margin, thread count and which other realizations share a batch leave
+    # every bit of a realization's reconstruction unchanged
+    plans, reference = margin_plans
+    out = plans[margin].reconstruct(subset, threads=threads)
+    assert np.array_equal(out, reference[subset])
 
 
 class TestStreamingMoments:
