@@ -26,7 +26,6 @@ from .geometry import (
     DegenerateProjectionError,
     Radon2DGeometry,
     radon2d_psi,
-    radon2d_psi_second_derivative,
 )
 from .kernel import Kernel, KernelSpec
 from .noise import NoiseModel, modulation_field, variance_field
@@ -72,7 +71,6 @@ __all__ = [
     "load_config",
     "modulation_field",
     "radon2d_psi",
-    "radon2d_psi_second_derivative",
     "run_experiment",
     "variance_field",
     "weyl_decay_table",

@@ -153,7 +153,7 @@ def degeneracy_tolerance_scan(geometry, x0, offset, tols, samples=20000):
     if samples < 10**4:
         raise ValueError("samples must be >= 10^4")
     ys = np.arange(samples) * (geometry.parameter_period / samples)
-    jac = geometry.projection_gradient(np.asarray(x0, dtype=float), ys)
+    jac = geometry.project_gradient(np.asarray(x0, dtype=float), ys)
     directional = np.linalg.norm(jac @ offset, axis=-1)
     scale = np.sqrt(np.sum(jac**2, axis=(-2, -1))) * np.linalg.norm(offset)
     return np.array([np.mean(directional < t * scale) for t in tols])

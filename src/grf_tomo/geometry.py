@@ -65,7 +65,13 @@ class ConeBeamGeometry:
     def _denominator(self, x, s):
         x = np.asarray(x, dtype=float)
         s = _normalize_angle(s)
-        return 1.0 - (x[..., 0] * np.cos(s) + x[..., 1] * np.sin(s)) / self.radius, x, s
+        den = 1.0 - (x[..., 0] * np.cos(s) + x[..., 1] * np.sin(s)) / self.radius
+        if np.any(den <= self.denominator_floor):
+            raise DegenerateProjectionError(
+                f"projection denominator {np.min(den):.3e} at or below floor "
+                f"{self.denominator_floor:.1e}"
+            )
+        return den, x, s
 
     def project(self, x, s):
         """Stereographic projection of ``x`` onto the detector at angle ``s``.
@@ -88,11 +94,6 @@ class ConeBeamGeometry:
             If any projection denominator is ``<= denominator_floor``.
         """
         den, x, s = self._denominator(x, s)
-        if np.any(den <= self.denominator_floor):
-            raise DegenerateProjectionError(
-                f"projection denominator {np.min(den):.3e} at or below floor "
-                f"{self.denominator_floor:.1e}"
-            )
         t = 1.0 / den
         u = t * (-x[..., 0] * np.sin(s) + x[..., 1] * np.cos(s))
         v = t * x[..., 2]
@@ -110,11 +111,6 @@ class ConeBeamGeometry:
         terms through the denominator.
         """
         den, x, s = self._denominator(x, s)
-        if np.any(den <= self.denominator_floor):
-            raise DegenerateProjectionError(
-                f"projection denominator {np.min(den):.3e} at or below floor "
-                f"{self.denominator_floor:.1e}"
-            )
         cs, sn = np.cos(s), np.sin(s)
         t = 1.0 / den
         w = -x[..., 0] * sn + x[..., 1] * cs
@@ -128,8 +124,6 @@ class ConeBeamGeometry:
         grad[..., 1, 1] = x[..., 2] * tt_r * sn
         grad[..., 1, 2] = t
         return grad
-
-    projection_gradient = project_gradient
 
     def ellipse_residual(self, x, s):
         """Defect of the algebraic identity satisfied by the projected orbit.
@@ -154,16 +148,10 @@ def radon2d_psi(x, alpha):
     return out if np.ndim(out) else float(out)
 
 
-def radon2d_psi_second_derivative(x, alpha):
-    """Analytic second angle-derivative of :func:`radon2d_psi` (equals its negative)."""
-    out = -radon2d_psi(x, alpha)
-    return out
-
-
 class Radon2DGeometry:
     """Classical 2D Radon parametrization, used by the assumption checks.
 
-    Stateless; exposes the same ``projection`` / ``projection_gradient``
+    Stateless; exposes the same ``projection`` / ``project_gradient``
     interface as :class:`ConeBeamGeometry` with a 1-component data map.
     """
 
@@ -172,7 +160,7 @@ class Radon2DGeometry:
     def projection(self, x, alpha):
         return np.asarray(radon2d_psi(x, alpha))[..., None]
 
-    def projection_gradient(self, x, alpha):
+    def project_gradient(self, x, alpha):
         alpha = _normalize_angle(alpha)
         shape = np.broadcast_shapes(np.shape(np.asarray(x)[..., 0]), np.shape(alpha))
         grad = np.zeros(shape + (1, 2))

@@ -100,14 +100,6 @@ class Kernel:
         out[m] = self._bump(t[m])
         return out
 
-    def _bump_cdf(self, t):
-        a = self.spec.half_width
-        t = np.asarray(t, dtype=float)
-        out = np.where(t >= a, self._mass1, 0.0)
-        m = np.abs(t) < a
-        out[m] = self._bump_int1(t[m])
-        return out
-
     def _bump_cdf2(self, t):
         a = self.spec.half_width
         t = np.asarray(t, dtype=float)
@@ -124,15 +116,6 @@ class Kernel:
         out = self._bump_cdf2(t + 1.0) - 2.0 * self._bump_cdf2(t) + self._bump_cdf2(t - 1.0)
         out = np.where(t >= self.spec.support, 0.0, out)
         return out if out.ndim else float(out)
-
-    def first_derivative(self, t):
-        """First derivative; odd in ``t``."""
-        t = np.asarray(t, dtype=float)
-        y = np.abs(t)
-        raw = self._bump_cdf(y + 1.0) - 2.0 * self._bump_cdf(y) + self._bump_cdf(y - 1.0)
-        raw = np.where(y >= self.spec.support, 0.0, raw)
-        out = np.sign(t) * raw
-        return out if np.ndim(out) else float(out)
 
     def second_derivative(self, t):
         """Second derivative; even in ``t``, zero for ``|t| >= support``."""

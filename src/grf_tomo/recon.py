@@ -45,9 +45,9 @@ class ReconstructionPlan:
 
     Reconstruction values for any realization follow from one pass over the
     plan's site table.  Construction is the only geometry-dependent cost;
-    realizations then reduce fixed weight vectors against hashed noise draws
-    in a fixed order, which makes results bitwise reproducible at any thread
-    count.
+    realizations then reduce one fixed table of (point, site, weight) terms
+    against hashed noise draws in a fixed order, which makes results bitwise
+    reproducible at any thread count.
 
     Parameters
     ----------
@@ -78,53 +78,44 @@ class ReconstructionPlan:
         s = np.arange(n_views) * noise_model.delta_s
         margin = int(footprint_margin)
 
-        packed_per_point = []
-        weights_per_point = []
-        window_per_point = []
-        for x in self.points:
-            u, v = geometry.project(x, s)
-            lo1, hi1 = _footprint_bounds(u / eps, support, margin)
-            lo2, hi2 = _footprint_bounds(v / eps, support, margin)
-            m1 = int(np.max(hi1 - lo1)) + 1
-            m2 = int(np.max(hi2 - lo2)) + 1
-            k1 = lo1[:, None] + np.arange(m1)[None, :]            # (nv, m1)
-            k2 = lo2[:, None] + np.arange(m2)[None, :]            # (nv, m2)
-            ok1 = k1 <= hi1[:, None]
-            ok2 = k2 <= hi2[:, None]
-            w1 = np.where(ok1, kernel.second_derivative(u[:, None] / eps - k1), 0.0)
-            w2 = np.where(ok2, kernel.value(v[:, None] / eps - k2), 0.0)
-            w = w1[:, :, None] * w2[:, None, :]                   # (nv, m1, m2)
-            jj = np.broadcast_to(np.arange(n_views)[:, None, None], w.shape)
-            kk1 = np.broadcast_to(k1[:, :, None], w.shape)
-            kk2 = np.broadcast_to(k2[:, None, :], w.shape)
-            window = ok1[:, :, None] & ok2[:, None, :]
-            if np.any((np.abs(kk1[window]) >= _INDEX_BIAS)
-                      | (np.abs(kk2[window]) >= _INDEX_BIAS)):
-                raise ValueError("detector index exceeds packing range")
-            packed = (jj.astype(np.int64) << 42) \
-                | ((kk1 + _INDEX_BIAS) << 21) | (kk2 + _INDEX_BIAS)
-            # noise is generated for the whole window, but zero-weight cells
-            # never enter the reduction, so the summed term sequence (and
-            # every output bit) is independent of window enlargement
-            keep = w != 0.0
-            window_per_point.append(packed[window])
-            packed_per_point.append(packed[keep])
-            weights_per_point.append(w[keep])
-
-        site_pack = np.unique(np.concatenate(window_per_point))
+        # one window per view, wide enough for every point; each point's own
+        # footprint within it is masked by ok1 and ok2
+        u, v = geometry.project(self.points[:, None, :], s)      # (L, nv)
+        lo1, hi1 = _footprint_bounds(u / eps, support, margin)
+        lo2, hi2 = _footprint_bounds(v / eps, support, margin)
+        if np.any(np.abs(np.stack([lo1, hi1, lo2, hi2])) >= _INDEX_BIAS):
+            raise ValueError("detector index exceeds packing range")
+        k1 = lo1[..., None] + np.arange(int(np.max(hi1 - lo1)) + 1)   # (L, nv, m1)
+        k2 = lo2[..., None] + np.arange(int(np.max(hi2 - lo2)) + 1)   # (L, nv, m2)
+        ok1 = k1 <= hi1[..., None]
+        ok2 = k2 <= hi2[..., None]
+        w1 = np.where(ok1, kernel.second_derivative(u[..., None] / eps - k1), 0.0)
+        w2 = np.where(ok2, kernel.value(v[..., None] / eps - k2), 0.0)
+        w = w1[..., :, None] * w2[..., None, :]                  # (L, nv, m1, m2)
+        packed = (np.arange(n_views)[:, None, None] << 42) \
+            | ((k1[..., :, None] + _INDEX_BIAS) << 21) | (k2[..., None, :] + _INDEX_BIAS)
+        # noise is generated for the whole window, but zero-weight cells
+        # never enter the reduction, so the summed term sequence (and
+        # every output bit) is independent of window enlargement
+        site_pack = np.unique(packed[ok1[..., :, None] & ok2[..., None, :]])
         self.site_j = (site_pack >> 42).astype(np.int64)
         self.site_k1 = ((site_pack >> 21) & (2**21 - 1)).astype(np.int64) - _INDEX_BIAS
         self.site_k2 = (site_pack & (2**21 - 1)).astype(np.int64) - _INDEX_BIAS
-        self._gather = [np.searchsorted(site_pack, p) for p in packed_per_point]
-        self._weights = weights_per_point
-        # the batch kernel hashes the sites in blocks of _SITE_BLOCK; each
-        # point's terms in a block are gather[splits[b]:splits[b + 1]], in
-        # the same increasing site order as the unblocked sum
-        block_starts = np.arange(0, site_pack.size + _SITE_BLOCK, _SITE_BLOCK)
-        self._splits = []
-        for idx in self._gather:
-            assert np.all(np.diff(idx) > 0), "plan terms must follow site order"
-            self._splits.append(np.searchsorted(idx, block_starts))
+
+        # the plan is one table of (point, site, weight) terms, in C order of
+        # w: by point, then by packed site.  The batch kernel hashes the sites
+        # in blocks of _SITE_BLOCK; point l's terms in block b are the rows
+        # _offsets[l, b]:_offsets[l, b + 1], in the unblocked sum's order
+        keep = w != 0.0
+        self._term_point = np.nonzero(keep)[0]
+        self._term_site = np.searchsorted(site_pack, packed[keep])
+        self._term_weight = w[keep]
+        order = self._term_point * self.n_sites + self._term_site
+        assert np.all(np.diff(order) > 0), "plan terms must follow point and site order"
+        # the last bound is n_sites itself, so no block runs into the next point
+        bounds = np.append(np.arange(0, self.n_sites, _SITE_BLOCK), self.n_sites)
+        self._offsets = np.searchsorted(
+            order, np.arange(len(self.points))[:, None] * self.n_sites + bounds)
         self._site_keys = noise_mod.site_keys(self.site_j, self.site_k1, self.site_k2)
         self._site_amp = noise_model.scale * noise_model._modulation(
             self.site_j * noise_model.delta_s, eps * self.site_k1, eps * self.site_k2
@@ -142,10 +133,8 @@ class ReconstructionPlan:
         variances, so it carries no Monte-Carlo error; the sample covariance
         over realizations converges to this matrix.
         """
-        n_points = len(self._weights)
-        dense = np.zeros((self.n_sites, n_points))
-        for l, (idx, w) in enumerate(zip(self._gather, self._weights)):
-            np.add.at(dense[:, l], idx, w)
+        dense = np.zeros((self.n_sites, len(self.points)))
+        dense[self._term_site, self._term_point] = self._term_weight
         site_var = self._site_amp**2 / 3.0
         return self._prefactor**2 * (dense * site_var[:, None]).T @ dense
 
@@ -158,28 +147,26 @@ class ReconstructionPlan:
         width = realizations.size
         bits = np.empty((_SITE_BLOCK, width), dtype=np.uint64)
         eta = np.empty((_SITE_BLOCK, width))
-        # row 0 carries the point's running sum into the next block's reduce
+        # row 0 carries the point's running sum into each block's reduce; it
+        # starts at +0.0, and 0.0 + t == t unless t is -0.0, so each sum keeps
+        # the bits of its terms' sequential sum
         terms = np.empty((_SITE_BLOCK + 1, width))
-        acc = np.zeros((len(self._weights), width))
+        acc = np.zeros((len(self.points), width))
         for block, lo in enumerate(range(0, self.n_sites, _SITE_BLOCK)):
             hi = min(lo + _SITE_BLOCK, self.n_sites)
             block_eta = noise_mod.uniform_into(self._site_keys[lo:hi, None], streams,
                                                bits[:hi - lo], eta[:hi - lo])
             np.multiply(block_eta, self._site_amp[lo:hi, None], out=block_eta)
-            for l, (idx, w, splits) in enumerate(zip(self._gather, self._weights,
-                                                     self._splits)):
-                a, b = splits[block], splits[block + 1]
+            for l, (a, b) in enumerate(self._offsets[:, block:block + 2].tolist()):
                 if a == b:
                     continue
                 rows = terms[1:b - a + 1]
                 # indices are in range by construction; mode="raise" would
                 # copy through a temporary of the output's size
-                np.take(eta, idx[a:b] - lo, axis=0, out=rows, mode="clip")
-                np.multiply(rows, w[a:b, None], out=rows)
-                if a > 0:
-                    terms[0] = acc[l]
-                    rows = terms[:b - a + 1]
-                np.add.reduce(rows, axis=0, out=acc[l])
+                np.take(eta, self._term_site[a:b] - lo, axis=0, out=rows, mode="clip")
+                np.multiply(rows, self._term_weight[a:b, None], out=rows)
+                terms[0] = acc[l]
+                np.add.reduce(terms[:b - a + 1], axis=0, out=acc[l])
         return self._prefactor * acc.T
 
     def reconstruct(self, realizations, threads=None):
@@ -199,7 +186,7 @@ class ReconstructionPlan:
         realizations = np.atleast_1d(np.asarray(realizations, dtype=np.int64))
         if np.any(realizations < 0):
             raise IndexError("realization index must be >= 0")
-        out = np.empty((realizations.size, len(self._weights)))
+        out = np.empty((realizations.size, len(self.points)))
         starts = range(0, realizations.size, _BATCH)
 
         def work(start):

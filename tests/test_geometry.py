@@ -7,7 +7,6 @@ from grf_tomo import (
     DegenerateProjectionError,
     Radon2DGeometry,
     radon2d_psi,
-    radon2d_psi_second_derivative,
 )
 from conftest import admissible_points
 
@@ -111,14 +110,8 @@ class TestRadon2D:
         assert abs(radon2d_psi([1.0, 0.0], np.pi / 2)) < 1e-15
         assert_allclose(radon2d_psi([3.0, 4.0], np.arctan2(4.0, 3.0)), 5.0, rtol=1e-15)
 
-    def test_second_derivative_is_negated_value(self):
-        x = np.array([1.5, -0.4])
-        for alpha in [0.2, 1.9, 4.4]:
-            assert_allclose(radon2d_psi_second_derivative(x, alpha),
-                            -radon2d_psi(x, alpha), rtol=0, atol=1e-15)
-
     def test_geometry_interface_shapes(self):
         geo = Radon2DGeometry()
         alphas = np.linspace(0, 2 * np.pi, 9, endpoint=False)
         assert geo.projection([1.0, 2.0], alphas).shape == (9, 1)
-        assert geo.projection_gradient([1.0, 2.0], alphas).shape == (9, 1, 2)
+        assert geo.project_gradient([1.0, 2.0], alphas).shape == (9, 1, 2)

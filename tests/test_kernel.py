@@ -117,12 +117,6 @@ class TestDerivatives:
         fd = (kernel.value(t + h) - 2 * kernel.value(t) + kernel.value(t - h)) / h**2
         assert np.max(np.abs(kernel.second_derivative(t) - fd)) < 1e-5
 
-    def test_first_derivative_matches_central_differences(self, kernel):
-        h = 1e-6
-        t = np.linspace(-3.4, 3.4, 401)
-        fd = (kernel.value(t + h) - kernel.value(t - h)) / (2 * h)
-        assert np.max(np.abs(kernel.first_derivative(t) - fd)) < 1e-7
-
     def test_no_jump_across_piece_boundaries(self, kernel):
         # continuity of the second derivative at the polynomial seams
         h = 1e-3

@@ -16,6 +16,7 @@ from grf_tomo import (
     histogram_density_2d,
     load_config,
 )
+from grf_tomo import recon
 from grf_tomo.config import preset_path
 from grf_tomo.recon import _BATCH, streaming_moments
 from conftest import (
@@ -31,13 +32,14 @@ from conftest import (
 )
 
 
-def ci_plan(seed):
+def ci_plan(seed, margin=0):
     """Reconstruction plan for the ``ci.json`` points at the given seed."""
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)    # the preset's smoothness note
         cfg = load_config(preset_path("ci")).replace(seed=seed)
     points = cfg.center + cfg.eps * cfg.offsets
-    return ReconstructionPlan(cfg.geometry, cfg.kernel, cfg.noise, points)
+    return ReconstructionPlan(cfg.geometry, cfg.kernel, cfg.noise, points,
+                              footprint_margin=margin)
 
 
 # sha256 of reconstruct(arange(1000), threads=2) for the ci.json points, taken
@@ -52,6 +54,28 @@ GOLDEN_DIGESTS = {
 def test_golden_reconstruct_digests(seed):
     out = ci_plan(seed).reconstruct(np.arange(1000), threads=2)
     assert hashlib.sha256(out.tobytes()).hexdigest() == GOLDEN_DIGESTS[seed]
+
+
+# sha256 of exact_covariance() for the ci.json points, taken from the per-point
+# plan lists.  Margin 2 adds zero-weight sites and keeps the bytes; the matmul
+# runs over every site, so margin 3 moves the last bits through its blocking
+GOLDEN_COVARIANCE = "6d806221c7693129f45d994036476be088133b726f1c9d7acff30ed808dae062"
+
+
+@pytest.mark.parametrize("margin", [0, 2])
+def test_golden_exact_covariance_digest(margin):
+    cov = ci_plan(20240601, margin).exact_covariance()
+    assert hashlib.sha256(cov.tobytes()).hexdigest() == GOLDEN_COVARIANCE
+
+
+def test_site_block_does_not_change_bits(monkeypatch):
+    # 23113 splits the 46,226 sites into two equal blocks, 46227 into one
+    r = np.arange(40)
+    reference = ci_plan(20240601).reconstruct(r, threads=2)
+    for block in (7, 23113, 46227):
+        monkeypatch.setattr(recon, "_SITE_BLOCK", block)
+        out = ci_plan(20240601).reconstruct(r, threads=2)
+        assert out.tobytes() == reference.tobytes(), block
 
 
 def test_batch_working_set_is_bounded():
