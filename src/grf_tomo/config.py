@@ -224,7 +224,7 @@ class ExperimentConfig:
         for key, value in overrides.items():
             if key == "seed":
                 data["noise"]["seed"] = value
-            elif key in ("realizations", "bins", "eps", "n_views"):
+            elif key in ("realizations", "eps"):
                 section = "detector_step" if key == "eps" else key
                 data["experiment"][section] = value
             else:

@@ -43,22 +43,18 @@ class CovariancePredictor:
         Interpolation-smoothing kernel of the reconstruction.
     x0 : array_like, shape (3,)
         Expansion point; must be admissible at every source angle.
-    sigma2 : callable, optional
-        Variance field ``sigma2(s, u, v)``; defaults to the shipped one.
     panels : int, optional
         Number of Gauss-Legendre panels for the angle integral.
     tolerance : float, optional
         Absolute tolerance verified by panel-doubling refinement.
     """
 
-    def __init__(self, geometry, kernel, x0, sigma2=None, panels=2000,
-                 tolerance=1e-4):
+    def __init__(self, geometry, kernel, x0, panels=2000, tolerance=1e-4):
         if not isinstance(kernel, Kernel):
             kernel = Kernel(kernel)
         self.geometry = geometry
         self.kernel = kernel
         self.x0 = np.asarray(x0, dtype=float).reshape(3)
-        self.sigma2 = sigma2 if sigma2 is not None else variance_field
         self.panels = int(panels)
         self.tolerance = float(tolerance)
 
@@ -73,18 +69,6 @@ class CovariancePredictor:
         kernel.autocorrelation(0.0, "d2")
         kernel.autocorrelation(0.0, "value")
 
-    # -- pointwise response pieces ------------------------------------------
-
-    def response_profile(self, theta):
-        """Scaled per-datum response ``d2(theta_1) * value(theta_2)``.
-
-        ``theta`` has shape (..., 2); independent of the source angle for
-        this geometry.
-        """
-        theta = np.asarray(theta, dtype=float)
-        out = self.kernel.second_derivative(theta[..., 0]) * self.kernel.value(theta[..., 1])
-        return out if np.ndim(out) else float(out)
-
     def response_autocorrelation(self, theta):
         """Autocorrelation of the response: ``A2(theta_1) * A0(theta_2)``.
 
@@ -98,22 +82,44 @@ class CovariancePredictor:
 
     # -- covariance -----------------------------------------------------------
 
-    def _integral(self, offset, panels):
+    def _covariances(self, offsets):
+        """Covariances at the rows of a (K, 3) array of offsets.
+
+        Each panel count builds the angle nodes, the projection Jacobian and
+        the variance field once for all entries.  Doubling continues only for
+        the entries that have not settled, and each entry's value is its
+        first refined value within the tolerance of the one before.
+        """
         nodes, weights = np.polynomial.legendre.leggauss(_GL_ORDER)
-        edges = np.linspace(0.0, 2.0 * np.pi, panels + 1)
-        mid = 0.5 * (edges[:-1] + edges[1:])
-        half = 0.5 * (edges[1:] - edges[:-1])
-        s = (mid[:, None] + half[:, None] * nodes[None, :]).ravel()
-        wq = (half[:, None] * weights[None, :]).ravel()
+        values = np.empty(len(offsets))
+        pending = np.arange(len(offsets))
+        for level in range(4):
+            panels = self.panels * 2**level
+            edges = np.linspace(0.0, 2.0 * np.pi, panels + 1)
+            mid = 0.5 * (edges[:-1] + edges[1:])
+            half = 0.5 * (edges[1:] - edges[:-1])
+            s = (mid[:, None] + half[:, None] * nodes[None, :]).ravel()
+            wq = (half[:, None] * weights[None, :]).ravel()
+            u, v = self.geometry.project(self.x0, s)
+            jac = self.geometry.project_gradient(self.x0, s)   # (m, 2, 3)
+            sigma2 = variance_field(s, u, v)
+            # one offset at a time keeps memory at one node set; the
+            # fixed-order reduction keeps each entry's bits run to run
+            fine = np.array([np.add.reduce(self.response_autocorrelation(jac @ offsets[k])
+                                           * sigma2 * wq) for k in pending])
+            if level:
+                settled = np.abs(fine - coarse) <= self.tolerance
+                values[pending[settled]] = fine[settled]
+                pending, fine = pending[~settled], fine[~settled]
+                if not pending.size:
+                    return values
+            coarse = fine
+        raise QuadratureConvergenceError(
+            f"angle quadrature did not settle below {self.tolerance:g} "
+            f"by {panels} panels at offset {offsets[pending[0]].tolist()}"
+        )
 
-        u, v = self.geometry.project(self.x0, s)
-        jac = self.geometry.project_gradient(self.x0, s)   # (m, 2, 3)
-        w = jac @ np.asarray(offset, dtype=float)          # (m, 2)
-        vals = self.response_autocorrelation(w) * self.sigma2(s, u, v)
-        # fixed-order reduction for run-to-run determinism
-        return float(np.add.reduce(vals * wq))
-
-    def covariance(self, offset, panels=None):
+    def covariance(self, offset):
         """Covariance ``C(offset)`` for a 3-vector offset in local coordinates.
 
         Integrates over the source angle with composite Gauss-Legendre
@@ -122,22 +128,11 @@ class CovariancePredictor:
         Raises
         ------
         QuadratureConvergenceError
-            If doubling the panel count twice still moves the value by more
-            than the tolerance.
+            If doubling the panel count three times still moves the value by
+            more than the tolerance.
         """
-        offset = np.asarray(offset, dtype=float).reshape(3)
-        panels = self.panels if panels is None else int(panels)
-        coarse = self._integral(offset, panels)
-        for _ in range(3):
-            fine = self._integral(offset, 2 * panels)
-            if abs(fine - coarse) <= self.tolerance:
-                return fine
-            panels *= 2
-            coarse = fine
-        raise QuadratureConvergenceError(
-            f"angle quadrature did not settle below {self.tolerance:g} "
-            f"by {panels} panels"
-        )
+        offset = np.asarray(offset, dtype=float).reshape(1, 3)
+        return float(self._covariances(offset)[0])
 
     def variance(self):
         """Covariance at zero offset."""
@@ -153,17 +148,13 @@ class CovariancePredictor:
         n = offsets.shape[0]
         if offsets.shape[1] != 3 or n < 1:
             raise ValueError("offsets must have shape (L, 3) with L >= 1")
-        out = np.empty((n, n))
-        diag = self.variance()
-        for i in range(n):
-            out[i, i] = diag
-            for j in range(i + 1, n):
-                cij = self.covariance(offsets[i] - offsets[j])
-                out[i, j] = cij
-                out[j, i] = cij
+        i, j = np.triu_indices(n, 1)
+        values = self._covariances(np.vstack([np.zeros(3), offsets[i] - offsets[j]]))
+        out = np.full((n, n), values[0])
+        out[i, j] = out[j, i] = values[1:]
         return out
 
     def covariance_profile(self, direction, radii):
         """Line scan ``C(r * direction)`` over the given radii."""
         direction = np.asarray(direction, dtype=float).reshape(3)
-        return np.array([self.covariance(r * direction) for r in np.asarray(radii)])
+        return self._covariances(np.asarray(radii)[:, None] * direction)

@@ -123,9 +123,6 @@ class Kernel:
         out = self._bump_eval(t + 1.0) - 2.0 * self._bump_eval(t) + self._bump_eval(t - 1.0)
         return out if out.ndim else float(out)
 
-    def __call__(self, t):
-        return self.value(t)
-
     # -- exact autocorrelations --------------------------------------------
 
     @property

@@ -300,13 +300,6 @@ class HistogramDensity:
     def centers(self):
         return tuple(0.5 * (e[:-1] + e[1:]) for e in self.edges)
 
-    @property
-    def bin_measure(self):
-        out = 1.0
-        for e in self.edges:
-            out *= e[1] - e[0]
-        return out
-
 
 def _default_range(values):
     # mean +/- 4.5 standard deviations keeps essentially all Gaussian mass;

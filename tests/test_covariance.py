@@ -1,8 +1,10 @@
+import hashlib
 import subprocess
 import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from grf_tomo import CovariancePredictor, QuadratureConvergenceError
@@ -14,21 +16,53 @@ def predictor(geometry, kernel):
     return CovariancePredictor(geometry, kernel, CENTER)
 
 
-class TestResponseProfile:
-    def test_zero_outside_support(self, predictor):
-        assert predictor.response_profile([3.6, 0.0]) == 0.0
-        assert predictor.response_profile([0.0, -3.5]) == 0.0
+@pytest.fixture(scope="module")
+def coarse(geometry, kernel):
+    # so few panels that entries settle after different numbers of doublings
+    return CovariancePredictor(geometry, kernel, CENTER, panels=8, tolerance=1e-4)
 
-    def test_even(self, predictor):
-        rng = np.random.default_rng(0)
-        for theta in rng.uniform(-3, 3, size=(20, 2)):
-            assert_allclose(predictor.response_profile(theta),
-                            predictor.response_profile(-theta), rtol=0, atol=0)
 
-    def test_center_value_matches_kernel(self, predictor, kernel):
-        assert_allclose(predictor.response_profile([0.0, 0.0]),
-                        kernel.second_derivative(0.0) * kernel.value(0.0),
-                        rtol=0, atol=0)
+PAPER_OFFSETS = np.array([OFFSET_A, OFFSET_B, [0.0, 0.0, 0.0]])
+
+# sha256 of the predictions, taken from the per-entry integration loop.  At 8
+# panels two of the four paper entries settle one doubling later than the
+# other two; a change to the quadrature must keep all three
+GOLDEN_PREDICTION = {
+    "matrix": "501d349251d786c6d30327d8da584eefa38344e5cdfd69b985d98e6229f3a937",
+    "profile": "233356e5b20c2946f0151f83f74ef32f8e8d9e3fb002ba911b6e9d3b5c00834a",
+    "coarse_matrix": "142965095a3caaea66aef9c60c1c9139da5940a818423c02b8a096bacc97870e",
+}
+
+
+def test_golden_prediction_digests(predictor, coarse):
+    outputs = {
+        "matrix": predictor.covariance_matrix(PAPER_OFFSETS),
+        "profile": predictor.covariance_profile([0.3, 1.0, -0.5], np.linspace(-3, 3, 17)),
+        "coarse_matrix": coarse.covariance_matrix(PAPER_OFFSETS),
+    }
+    digests = {key: hashlib.sha256(value.tobytes()).hexdigest()
+               for key, value in outputs.items()}
+    assert digests == GOLDEN_PREDICTION
+
+
+_coordinate = st.floats(-3.0, 3.0)
+_offset = st.tuples(_coordinate, _coordinate, _coordinate)
+
+
+@settings(max_examples=30, deadline=None)
+@given(offsets=st.lists(_offset, min_size=2, max_size=4),
+       radii=st.lists(_coordinate, min_size=1, max_size=4))
+def test_batched_entries_match_single_calls(coarse, offsets, radii):
+    offsets = np.array(offsets)
+    matrix = coarse.covariance_matrix(offsets)
+    for a, b in np.ndindex(matrix.shape):
+        assert matrix[a, b] == coarse.covariance(offsets[a] - offsets[b])
+    assert np.array_equal(matrix, matrix.T)
+    # entries may settle at different panel counts, each within the tolerance
+    assert np.all(np.abs(matrix) <= matrix[0, 0] + coarse.tolerance)
+    direction = offsets[0]
+    profile = coarse.covariance_profile(direction, radii)
+    assert profile.tolist() == [coarse.covariance(r * direction) for r in radii]
 
 
 class TestResponseAutocorrelation:
@@ -73,9 +107,9 @@ class TestCovariance:
         for theta in rng.uniform(-10, 10, size=(100, 3)):
             assert abs(predictor.covariance(theta)) <= peak + 1e-10
 
-    def test_panel_refinement_converged(self, predictor):
-        base = predictor.covariance(np.zeros(3), panels=2000)
-        fine = predictor.covariance(np.zeros(3), panels=4000)
+    def test_panel_refinement_converged(self, geometry, kernel):
+        base = CovariancePredictor(geometry, kernel, CENTER, panels=2000).variance()
+        fine = CovariancePredictor(geometry, kernel, CENTER, panels=4000).variance()
         assert abs(fine - base) < 1e-5
 
     def test_vanishes_for_large_offsets(self, predictor):
@@ -87,6 +121,10 @@ class TestCovariance:
                                      panels=1, tolerance=0.0)
         with pytest.raises(QuadratureConvergenceError):
             strict.covariance(np.zeros(3))
+        # the far entry is exactly zero at every panel count and settles
+        with pytest.raises(QuadratureConvergenceError,
+                           match=r"by 8 panels at offset \[0\.5, 0\.0, 0\.0\]$"):
+            strict.covariance_profile([1.0, 0.0, 0.0], [500.0, 0.5])
 
     def test_inadmissible_center_rejected(self, geometry, kernel):
         with pytest.raises(ValueError):
