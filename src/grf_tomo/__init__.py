@@ -7,6 +7,14 @@ executable checks of the geometric assumptions plus equidistribution
 diagnostics.
 """
 
+import os
+
+# Every BLAS call here is small (2x3 matvecs, a (3 x sites) by (sites x 3)
+# product, 2x2 Cholesky solves), so an OpenBLAS worker pool only adds start-up
+# time and a thread.  Set before numpy is first imported; a value the user has
+# set is kept, and it has no effect if numpy was imported first.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from .analysis import (
     WeylDecayResult,
     ZeroSetReport,

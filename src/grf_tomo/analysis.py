@@ -41,16 +41,13 @@ class ZeroSetReport:
         return len(self.roots)
 
 
-def _second_difference(fn, y, h):
-    return (fn(y + h) - 2.0 * fn(y) + fn(y - h)) / h**2
-
-
 def hessian_zero_scan(geometry, x0, direction, resolution=2000, degenerate_tol=1e-9):
     """Locate parameter values where a projection-component Hessian vanishes.
 
     Scans ``d^2/dy^2 [direction . projection(x0, y)]`` over one parameter
     period, using central second differences with a step of one tenth of the
-    grid spacing, and bisects each sign change to a root.
+    grid spacing, and bisects each sign change to a root.  The one-direction
+    case of :func:`hessian_scan_battery`.
 
     Parameters
     ----------
@@ -72,61 +69,71 @@ def hessian_zero_scan(geometry, x0, direction, resolution=2000, degenerate_tol=1
     -------
     ZeroSetReport
     """
-    direction = np.asarray(direction, dtype=float).ravel()
-    norm = np.linalg.norm(direction)
-    if norm == 0:
-        raise ValueError("direction must be nonzero")
-    direction = direction / norm
-    if resolution < 1000:
-        raise ValueError("resolution must be >= 1000")
-
-    period = geometry.parameter_period
-    x0 = np.asarray(x0, dtype=float)
-
-    def fn(y):
-        return geometry.projection(x0, y) @ direction
-
-    step = period / resolution
-    h = 0.1 * step
-    grid = np.arange(resolution) * step
-    d2 = _second_difference(fn, grid, h)
-    max_abs = float(np.max(np.abs(d2)))
-    if max_abs <= degenerate_tol:
-        return ZeroSetReport(np.array([]), True, resolution, direction, max_abs)
-
-    # wrap around so sign changes across the period boundary are caught
-    vals = np.append(d2, d2[0])
-    ys = np.append(grid, period)
-    roots = []
-    for i in np.nonzero(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0)[0]:
-        a, b = ys[i], ys[i + 1]
-        fa = _second_difference(fn, a, h)
-        for _ in range(60):
-            m = 0.5 * (a + b)
-            fm = _second_difference(fn, m, h)
-            if fa * fm <= 0:
-                b = m
-            else:
-                a, fa = m, fm
-            if b - a < 1e-13 * period:
-                break
-        roots.append(0.5 * (a + b) % period)
-    # grid points that are exact zeros (between two opposite signs they are
-    # already found by bisection; isolated exact zeros are rare and kept)
-    exact = grid[d2 == 0.0]
-    roots = np.unique(np.concatenate([np.asarray(roots), exact])) if len(roots) or exact.size \
-        else np.array([])
-    return ZeroSetReport(roots, False, resolution, direction, max_abs)
+    return hessian_scan_battery(geometry, x0, [direction], resolution, degenerate_tol)[0]
 
 
 def hessian_scan_battery(geometry, x0, directions, resolution=2000, degenerate_tol=1e-9):
     """Run :func:`hessian_zero_scan` over a set of directions.
 
-    Returns the list of reports; the point fails the thin-zero-set check if
-    any direction is degenerate.
+    The projections on the scan grid are computed once for all directions,
+    and one bisection refines every sign change of every direction, each
+    until its bracket is narrower than ``1e-13`` of the period or after 60
+    halvings.  Returns the list of reports; the point fails the
+    thin-zero-set check if any direction is degenerate.
     """
-    return [hessian_zero_scan(geometry, x0, d, resolution, degenerate_tol)
-            for d in directions]
+    units = []
+    for direction in directions:
+        direction = np.asarray(direction, dtype=float).ravel()
+        norm = np.linalg.norm(direction)
+        if norm == 0:
+            raise ValueError("direction must be nonzero")
+        units.append(direction / norm)
+    if resolution < 1000:
+        raise ValueError("resolution must be >= 1000")
+
+    period = geometry.parameter_period
+    x0 = np.asarray(x0, dtype=float)
+    step = period / resolution
+    h = 0.1 * step
+    grid = np.arange(resolution) * step
+    ys = np.append(grid, period)
+    plus, mid, minus = (geometry.projection(x0, y) for y in (grid + h, grid, grid - h))
+
+    reports, found, brackets = [], [], []
+    for direction in units:
+        d2 = (plus @ direction - 2.0 * (mid @ direction) + minus @ direction) / h**2
+        max_abs = float(np.max(np.abs(d2)))
+        if max_abs <= degenerate_tol:
+            reports.append(ZeroSetReport(np.array([]), True, resolution, direction, max_abs))
+            continue
+        # wrap around so sign changes across the period boundary are caught
+        vals = np.append(d2, d2[0])
+        crossings = np.nonzero(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0)[0]
+        # grid points that are exact zeros (between two opposite signs they are
+        # also found by bisection; isolated exact zeros are rare and kept)
+        reports.append(ZeroSetReport(grid[d2 == 0.0], False, resolution, direction, max_abs))
+        found.append((reports[-1], len(brackets), len(brackets) + crossings.size))
+        brackets += [(direction, ys[i], ys[i + 1], vals[i]) for i in crossings]
+    along, a, b, fa = (np.array([bracket[j] for bracket in brackets]) for j in range(4))
+
+    def fn(y):
+        return np.sum(geometry.projection(x0, y) * along, axis=-1)
+
+    live = np.ones(a.size, dtype=bool)
+    for _ in range(60):
+        if not live.any():
+            break
+        m = 0.5 * (a + b)
+        fm = (fn(m + h) - 2.0 * fn(m) + fn(m - h)) / h**2
+        left = fa * fm <= 0
+        b = np.where(live & left, m, b)
+        a = np.where(live & ~left, m, a)
+        fa = np.where(live & ~left, fm, fa)
+        live &= ~(b - a < 1e-13 * period)
+    roots = 0.5 * (a + b) % period
+    for report, first, last in found:
+        report.roots = np.unique(np.concatenate([roots[first:last], report.roots]))
+    return reports
 
 
 def direction_degeneracy_fraction(geometry, x0, offset, samples=20000, tol=1e-3):

@@ -297,6 +297,13 @@ def cmd_check(config, args, out_dir):
 # ---------------------------------------------------------------------------
 
 
+def _positive_int(text):
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {value}")
+    return value
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="grf-tomo",
@@ -314,7 +321,7 @@ def build_parser():
                          help="JSON configuration (default: bundled full-replication preset (paper.json))")
         cmd.add_argument("--seed", type=int, default=None,
                          help="override the master seed")
-        cmd.add_argument("--threads", type=int, default=os.cpu_count(),
+        cmd.add_argument("--threads", type=_positive_int, default=os.cpu_count(),
                          help="worker threads (results are thread-count independent)")
         cmd.add_argument("--realizations", type=int, default=None,
                          help="override the realization count")

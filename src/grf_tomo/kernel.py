@@ -133,22 +133,34 @@ class Kernel:
 
     def _integrate_autocorrelation(self, shifts, f):
         """``int f(shift + r) f(r) dr`` per lag by Gauss-Legendre on each
-        polynomial piece of the product (exact for polynomials of this degree)."""
+        polynomial piece of the product (exact for polynomials of this degree).
+
+        Lags with the same number of cuts are integrated as one (lags,
+        segments, nodes) array, each lag summed along its own contiguous row;
+        padding the cut lists to one length would change the summation bits.
+        """
         w = self.spec.support
         deg = 2 * self.spec.exponent + 2          # degree of one kernel piece
         nodes, weights = np.polynomial.legendre.leggauss(deg + 2)
         breaks = self.breakpoints
-        out = np.zeros(shifts.shape)
-        for i, th in enumerate(shifts.ravel()):
-            lo, hi = max(-w, -w - th), min(w, w - th)
-            cuts = np.concatenate([[lo, hi], breaks, breaks - th])
-            cuts = np.unique(np.clip(cuts, lo, hi))
-            mid = 0.5 * (cuts[:-1] + cuts[1:])
-            half = 0.5 * (cuts[1:] - cuts[:-1])
-            r = (mid[:, None] + half[:, None] * nodes[None, :]).ravel()
-            vals = f(r + th) * f(r)
-            out.flat[i] = float(np.sum(vals * (half[:, None] * weights[None, :]).ravel()))
-        return out
+        th = shifts.reshape(-1, 1)
+        lo, hi = np.maximum(-w, -w - th), np.minimum(w, w - th)
+        cuts = np.concatenate([lo, hi, np.broadcast_to(breaks, (th.size, breaks.size)),
+                               breaks - th], axis=1)
+        cuts = np.sort(np.clip(cuts, lo, hi), axis=1)
+        # the distinct cuts of each lag, as np.unique would give them
+        keep = np.concatenate([np.ones_like(lo, dtype=bool), np.diff(cuts, axis=1) > 0], axis=1)
+        count = keep.sum(axis=1)
+        out = np.zeros(th.size)
+        for n in np.unique(count):
+            rows = np.nonzero(count == n)[0]
+            c = cuts[rows][keep[rows]].reshape(rows.size, n)
+            mid = 0.5 * (c[:, :-1] + c[:, 1:])
+            half = 0.5 * (c[:, 1:] - c[:, :-1])
+            r = mid[..., None] + half[..., None] * nodes
+            vals = f(r + th[rows, :, None]) * f(r) * (half[..., None] * weights)
+            out[rows] = np.sum(vals.reshape(rows.size, -1), axis=1)
+        return out.reshape(shifts.shape)
 
     def _autocorrelation_pieces(self, which):
         """Knots and stacked Chebyshev coefficients of one autocorrelation.

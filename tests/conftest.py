@@ -105,3 +105,42 @@ def reconstruct_with_field(geometry, kernel, eps, delta_s, n_views, point, field
             * kernel.value(v / eps - k2)[None, :]
         total += float(np.sum(w * field(j, k1[:, None], k2[None, :])))
     return delta_s / eps**2 * total
+
+
+def hessian_zero_scan_reference(geometry, x0, direction, resolution=2000,
+                                degenerate_tol=1e-9):
+    """Oracle: the one-direction Hessian scan with a scalar bisection, one
+    root at a time.  Returns ``(roots, degenerate)``."""
+    direction = np.asarray(direction, dtype=float).ravel()
+    direction = direction / np.linalg.norm(direction)
+    period = geometry.parameter_period
+    x0 = np.asarray(x0, dtype=float)
+
+    def second_difference(y):
+        fn = lambda t: geometry.projection(x0, t) @ direction
+        return (fn(y + h) - 2.0 * fn(y) + fn(y - h)) / h**2
+
+    step = period / resolution
+    h = 0.1 * step
+    grid = np.arange(resolution) * step
+    d2 = second_difference(grid)
+    if float(np.max(np.abs(d2))) <= degenerate_tol:
+        return np.array([]), True
+    vals = np.append(d2, d2[0])
+    ys = np.append(grid, period)
+    roots = []
+    for i in np.nonzero(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0)[0]:
+        a, b = ys[i], ys[i + 1]
+        fa = second_difference(a)
+        for _ in range(60):
+            m = 0.5 * (a + b)
+            fm = second_difference(m)
+            if fa * fm <= 0:
+                b = m
+            else:
+                a, fa = m, fm
+            if b - a < 1e-13 * period:
+                break
+        roots.append(0.5 * (a + b) % period)
+    roots = np.unique(np.concatenate([np.asarray(roots), grid[d2 == 0.0]]))
+    return roots, False

@@ -1,3 +1,6 @@
+import hashlib
+import json
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -13,10 +16,38 @@ from grf_tomo import (
     weyl_decay_table,
     weyl_sum,
 )
-from conftest import CENTER
+from grf_tomo import cli
+from grf_tomo.config import preset_path
+from conftest import CENTER, hessian_zero_scan_reference
 
 
 RADON = Radon2DGeometry()
+
+
+# sha256 of the ``check`` outputs on paper.json at reduced sample counts, with
+# a source-plane point and an off-center point added to the Hessian battery;
+# taken from the one-root-at-a-time bisection.  A change to the analysis must
+# keep both files
+GOLDEN_CHECK = {
+    "checks.json": "49a79b334fe8eadd436661799b011cb0d82ec00f8ce0dff5c4316ba46e9ad761",
+    "weyl.csv": "8b0c0619476ae0524f5e6b65641bfd54125e8a0e4c0e1a2f0033d801b8e8be55",
+}
+
+
+def test_golden_check_digests(tmp_path):
+    with open(preset_path("paper")) as fh:
+        data = json.load(fh)
+    data["checks"].update(ellipse_samples=2000, degeneracy_samples=10000,
+                          hessian_resolution=1000,
+                          hessian_points=[data["experiment"]["center"], [1.0, 1.0, 0.0],
+                                          [1.0, 2.0, -0.5]])
+    config = tmp_path / "check.json"
+    config.write_text(json.dumps(data))
+    out = tmp_path / "out"
+    assert cli.main(["check", "--config", str(config), "--out", str(out)]) == 0
+    digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+               for name in GOLDEN_CHECK}
+    assert digests == GOLDEN_CHECK
 
 
 class TestHessianZeroScan:
@@ -60,6 +91,27 @@ class TestHessianZeroScan:
         scaled = hessian_zero_scan(geometry, CENTER, [1.5, 3.5], resolution=2000)
         assert base.count == scaled.count
         assert_allclose(base.roots, scaled.roots, atol=1e-9)
+
+    @pytest.mark.parametrize("point", ["center", [1.0, 1.0, 0.0], [1.0, 2.0, -0.5], "radon"])
+    def test_battery_matches_scalar_bisection(self, geometry, point):
+        # the battery bisects every bracket at once; it may move a root only
+        # at the rounding level (the scalar form dots two entries per step)
+        if point == "radon":
+            geometry, point, directions = RADON, [2.0, 1.0], [[1.0], [3.7], [-0.4]]
+        else:
+            point = CENTER if point == "center" else point
+            directions = [[np.cos(a), np.sin(a)] for a in np.arange(8) * np.pi / 4]
+        battery = hessian_scan_battery(geometry, point, directions)
+        for direction, report in zip(directions, battery):
+            roots, degenerate = hessian_zero_scan_reference(geometry, point, direction)
+            assert report.degenerate == degenerate
+            assert report.count == roots.size
+            assert_allclose(report.roots, roots, rtol=0, atol=1e-7)
+            single = hessian_zero_scan(geometry, point, direction)
+            assert single.degenerate == report.degenerate
+            assert single.max_abs == report.max_abs
+            assert single.roots.tobytes() == report.roots.tobytes()
+            assert single.direction.tobytes() == report.direction.tobytes()
 
     def test_rejects_bad_inputs(self, geometry):
         with pytest.raises(ValueError):

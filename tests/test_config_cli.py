@@ -1,5 +1,6 @@
 import copy
 import json
+import os
 import subprocess
 import sys
 
@@ -288,6 +289,8 @@ class TestCli:
          {"assertions": {"predict": {"cross_covariance": [99.0, 1e-9]}}}, [[0.0, 0.0, 0.0]]),
         ("simulate", "assertions.simulate.variance_rel",
          {"assertions": {"simulate": {"variance_rel": 0.08}}}, [[2.159, 3.075, -0.418]]),
+        pytest.param("predict --threads 0", "--threads", {}, None, id="threads-0"),
+        pytest.param("simulate --threads -4", "--threads", {}, None, id="threads-negative"),
     ])
     def test_load_time_fault_exits_2(self, tmp_path, capsys, command, field, sections,
                                      offsets):
@@ -296,8 +299,12 @@ class TestCli:
         if offsets is not None:
             data["experiment"]["offsets"] = offsets
         out = tmp_path / "out"
-        assert cli.main([command, "--config", write_config(tmp_path, data),
-                         "--out", str(out), "--assert"]) == 2
+        try:
+            code = cli.main([*command.split(), "--config", write_config(tmp_path, data),
+                             "--out", str(out), "--assert"])
+        except SystemExit as exc:       # argparse rejects a bad command-line value
+            code = exc.code
+        assert code == 2
         assert f"{field}:" in capsys.readouterr().err
         assert not out.exists()
 
@@ -341,6 +348,24 @@ class TestCli:
         data["assertions"] = {"predict": {"variance": 0.485}}
         with pytest.raises(ConfigError, match="assertions.predict.variance"):
             from_dict(data)
+
+    @pytest.mark.parametrize("preset,expected", [(None, "1"), ("3", "3")])
+    def test_import_pins_openblas_threads(self, preset, expected):
+        # a fresh process: the pin must act before numpy's first import
+        env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+        if preset is not None:
+            env["OPENBLAS_NUM_THREADS"] = preset
+        env["PYTHONPATH"] = os.path.dirname(os.path.dirname(cli.__file__))
+        probe = ("import os, grf_tomo; print(os.environ['OPENBLAS_NUM_THREADS'], "
+                 "len(os.listdir('/proc/self/task')) if os.path.isdir('/proc/self/task') "
+                 "else 1)")
+        result = subprocess.run([sys.executable, "-c", probe], env=env,
+                                capture_output=True, text=True, timeout=60)
+        assert result.returncode == 0, result.stderr
+        value, threads = result.stdout.split()
+        assert value == expected
+        if preset is None:
+            assert threads == "1"
 
     def test_console_script_version(self):
         result = subprocess.run([sys.executable, "-m", "grf_tomo.cli", "--version"],

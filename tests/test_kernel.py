@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -37,6 +39,17 @@ def autocorrelation_by_quad(f, kernel, lag):
     val, _ = quad(lambda r: f(r + lag) * f(r), lo, hi, points=cuts,
                   limit=200, epsabs=1e-14, epsrel=1e-13)
     return val
+
+
+# sha256 of the knots and Chebyshev coefficients of both autocorrelations,
+# taken from the per-lag integration loop.  The number of cuts varies within
+# one knot interval for (1.7, 2); a change to the build must keep all four
+GOLDEN_PIECES = {
+    (2.5, 3): "6258e6b37ca2fb117dde447d7cd6e396e8527e0f9b62c771f6600c5c34bdb24c",
+    (1.7, 2): "e805a152aa9fce6db90a7209fb8abff20dcb8decdbd4e9c87a3dfe8b57adf86f",
+    (0.8, 5): "4ee95768fff47814855315f41614ded7a584efd4f20cf709ca70b0f5c31c7f9b",
+    (2.5, 1): "19e7f8563fbc02b065311652c2aa4943ecf9a2d2be0feb38fb4f179dd57171d0",
+}
 
 
 class TestSpec:
@@ -159,6 +172,16 @@ class TestAutocorrelation:
         for which, f in (("value", ker.value), ("d2", ker.second_derivative)):
             oracle = [autocorrelation_by_quad(f, ker, lag) for lag in lags]
             assert_allclose(ker.autocorrelation(lags, which), oracle, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("half_width,exponent", sorted(GOLDEN_PIECES))
+    def test_golden_pieces_digest(self, half_width, exponent):
+        ker = Kernel(KernelSpec(half_width, exponent))
+        digest = hashlib.sha256()
+        for which in ("value", "d2"):
+            knots, coef = ker._autocorrelation_pieces(which)
+            digest.update(knots.tobytes())
+            digest.update(coef.tobytes())
+        assert digest.hexdigest() == GOLDEN_PIECES[half_width, exponent]
 
     def test_cauchy_schwarz_bound(self, kernel):
         shifts = np.linspace(-7.0, 7.0, 141)
