@@ -19,6 +19,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .kernel import _sorted_unique
+
 TWO_PI = 2.0 * np.pi
 
 
@@ -132,7 +134,7 @@ def hessian_scan_battery(geometry, x0, directions, resolution=2000, degenerate_t
         live &= ~(b - a < 1e-13 * period)
     roots = 0.5 * (a + b) % period
     for report, first, last in found:
-        report.roots = np.unique(np.concatenate([roots[first:last], report.roots]))
+        report.roots = _sorted_unique(np.concatenate([roots[first:last], report.roots]))
     return reports
 
 
@@ -151,19 +153,32 @@ def direction_degeneracy_fraction(geometry, x0, offset, samples=20000, tol=1e-3)
 def degeneracy_tolerance_scan(geometry, x0, offset, tols, samples=20000):
     """:func:`direction_degeneracy_fraction` over a list of tolerances.
 
-    The Jacobian and its norms are computed once and thresholded at each
-    tolerance.
+    ``offset`` is one offset of shape (N,), which gives fractions of shape
+    (T,), or a (K, N) array of offsets, which gives (K, T).  The Jacobian
+    and its Frobenius norms are computed once for all offsets and
+    thresholded at each tolerance; each offset's fractions have the bits of
+    a call with that offset alone.
     """
-    offset = np.asarray(offset, dtype=float).ravel()
-    if np.linalg.norm(offset) == 0:
-        raise ValueError("offset must be nonzero")
+    offsets = np.asarray(offset, dtype=float)
+    single = offsets.ndim == 1
+    if offsets.ndim not in (1, 2):
+        raise ValueError("offset must have shape (N,) or (K, N)")
+    offsets = np.atleast_2d(offsets)
+    norms = [np.linalg.norm(row) for row in offsets]
+    for k, norm in enumerate(norms):
+        if norm == 0:
+            raise ValueError(f"offset {k} is zero; offsets must be nonzero")
     if samples < 10**4:
         raise ValueError("samples must be >= 10^4")
     ys = np.arange(samples) * (geometry.parameter_period / samples)
     jac = geometry.project_gradient(np.asarray(x0, dtype=float), ys)
-    directional = np.linalg.norm(jac @ offset, axis=-1)
-    scale = np.sqrt(np.sum(jac**2, axis=(-2, -1))) * np.linalg.norm(offset)
-    return np.array([np.mean(directional < t * scale) for t in tols])
+    frobenius = np.sqrt(np.sum(jac**2, axis=(-2, -1)))
+    fractions = np.empty((len(offsets), len(tols)))
+    for row, norm, out in zip(offsets, norms, fractions):
+        directional = np.linalg.norm(jac @ row, axis=-1)
+        scale = frobenius * norm
+        out[:] = [np.mean(directional < t * scale) for t in tols]
+    return fractions[0] if single else fractions
 
 
 # ---------------------------------------------------------------------------

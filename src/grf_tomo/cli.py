@@ -247,17 +247,11 @@ def cmd_check(config, args, out_dir):
 
     # directional-degeneracy fractions with a tolerance scan
     tols = checks["degeneracy_tols"]
-    scans = []
-    for offset in config.offsets:
-        if not np.any(offset):
-            continue
-        fractions = analysis.degeneracy_tolerance_scan(
-            geometry, config.center, offset, tols, samples=checks["degeneracy_samples"])
-        scans.append({
-            "offset": offset.tolist(),
-            "tolerances": list(map(float, tols)),
-            "fractions": fractions.tolist(),
-        })
+    offsets = config.offsets[np.any(config.offsets, axis=1)]
+    fractions = analysis.degeneracy_tolerance_scan(
+        geometry, config.center, offsets, tols, samples=checks["degeneracy_samples"])
+    scans = [{"offset": offset.tolist(), "tolerances": list(map(float, tols)),
+              "fractions": row.tolist()} for offset, row in zip(offsets, fractions)]
     report["degeneracy_fractions"] = scans
 
     # Radon-model sanity: two Hessian roots for any off-center point
@@ -342,11 +336,14 @@ def main(argv=None):
         overrides = {key: getattr(args, key) for key in ("seed", "realizations")
                      if getattr(args, key) is not None}
         config = config.replace(**overrides) if overrides else config
+        try:
+            os.makedirs(args.out, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"--out: {exc}") from exc
     except (ConfigError, OSError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
-    os.makedirs(args.out, exist_ok=True)
     try:
         outputs, metrics = _COMMANDS[args.command](config, args, args.out)
     except (QuadratureConvergenceError, DegenerateProjectionError,

@@ -20,7 +20,22 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial import Chebyshev, Polynomial
+
+
+def _sorted_unique(values):
+    """Sorted distinct values of ``values``, as ``numpy.unique`` gives them.
+
+    ``numpy.unique`` in numpy 2.4 calls ``np.ma.is_masked``, which imports
+    ``numpy.ma`` (about 10 ms and 1.2 MB) into every process that calls it,
+    and for integers it builds a hash table.  Sorting and keeping each value
+    that differs from the one before it returns the same array for input
+    without NaN or -0.0 (which of the two zeros ``numpy.unique`` keeps
+    depends on the input order); no caller passes either.
+    """
+    values = np.sort(np.asarray(values).ravel())
+    keep = np.ones(values.shape, dtype=bool)
+    np.not_equal(values[1:], values[:-1], out=keep[1:])
+    return values[keep]
 
 
 def _double_factorial(n):
@@ -83,7 +98,7 @@ class Kernel:
 
         # bump = c * (1 - (t/a)^2)^l with c chosen so the bump has unit mass
         norm = _double_factorial(2 * l + 1) / (2.0 * a * _double_factorial(2 * l))
-        self._bump = norm * Polynomial([1.0, 0.0, -1.0 / a**2]) ** l
+        self._bump = norm * np.polynomial.Polynomial([1.0, 0.0, -1.0 / a**2]) ** l
         self._bump_int1 = self._bump.integ(1, lbnd=-a)      # vanishes at -a
         self._bump_int2 = self._bump_int1.integ(1, lbnd=-a)
         self._mass1 = float(self._bump_int1(a))             # 1 up to rounding
@@ -129,7 +144,7 @@ class Kernel:
     def breakpoints(self):
         """Boundaries of the polynomial pieces of the kernel."""
         a = self.spec.half_width
-        return np.unique([-1.0 - a, -a, 1.0 - a, a - 1.0, a, 1.0 + a])
+        return _sorted_unique([-1.0 - a, -a, 1.0 - a, a - 1.0, a, 1.0 + a])
 
     def _integrate_autocorrelation(self, shifts, f):
         """``int f(shift + r) f(r) dr`` per lag by Gauss-Legendre on each
@@ -148,11 +163,11 @@ class Kernel:
         cuts = np.concatenate([lo, hi, np.broadcast_to(breaks, (th.size, breaks.size)),
                                breaks - th], axis=1)
         cuts = np.sort(np.clip(cuts, lo, hi), axis=1)
-        # the distinct cuts of each lag, as np.unique would give them
+        # the distinct cuts of each lag, as _sorted_unique would give them
         keep = np.concatenate([np.ones_like(lo, dtype=bool), np.diff(cuts, axis=1) > 0], axis=1)
         count = keep.sum(axis=1)
         out = np.zeros(th.size)
-        for n in np.unique(count):
+        for n in _sorted_unique(count):
             rows = np.nonzero(count == n)[0]
             c = cuts[rows][keep[rows]].reshape(rows.size, n)
             mid = 0.5 * (c[:, :-1] + c[:, 1:])
@@ -177,10 +192,10 @@ class Kernel:
             f = {"value": self.value, "d2": self.second_derivative}[which]
             d = 2 * self.spec.exponent + (2 if which == "value" else 0)
             b = self.breakpoints
-            knots = np.unique(np.abs(b[:, None] - b[None, :]))
+            knots = _sorted_unique(np.abs(b[:, None] - b[None, :]))
             coef = np.stack([
-                Chebyshev.interpolate(self._integrate_autocorrelation, 2 * d + 1,
-                                      domain=[lo, hi], args=(f,)).coef
+                np.polynomial.Chebyshev.interpolate(
+                    self._integrate_autocorrelation, 2 * d + 1, domain=[lo, hi], args=(f,)).coef
                 for lo, hi in zip(knots[:-1], knots[1:])
             ], axis=1)                              # (2 d + 2, pieces)
             pieces = self._pieces[which] = (knots, coef)

@@ -15,13 +15,12 @@ evaluation-point set, the detector-window margins, and the thread count.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import noise as noise_mod
-from .kernel import Kernel
+from .kernel import Kernel, _sorted_unique
 
 _INDEX_BIAS = 1 << 20          # detector indices packed as 21-bit biased ints
 # Realizations per batch and sites per hashing block.  Neither fixes the
@@ -97,7 +96,7 @@ class ReconstructionPlan:
         # noise is generated for the whole window, but zero-weight cells
         # never enter the reduction, so the summed term sequence (and
         # every output bit) is independent of window enlargement
-        site_pack = np.unique(packed[ok1[..., :, None] & ok2[..., None, :]])
+        site_pack = _sorted_unique(packed[ok1[..., :, None] & ok2[..., None, :]])
         self.site_j = (site_pack >> 42).astype(np.int64)
         self.site_k1 = ((site_pack >> 21) & (2**21 - 1)).astype(np.int64) - _INDEX_BIAS
         self.site_k2 = (site_pack & (2**21 - 1)).astype(np.int64) - _INDEX_BIAS
@@ -194,6 +193,10 @@ class ReconstructionPlan:
             out[start:stop] = self._run_batch(realizations[start:stop])
 
         if threads is not None and threads > 1:
+            # imported here: concurrent.futures also loads logging, which
+            # single-threaded runs never need
+            from concurrent.futures import ThreadPoolExecutor
+
             with ThreadPoolExecutor(max_workers=threads) as pool:
                 list(pool.map(work, starts))
         else:

@@ -1,7 +1,10 @@
+import json
+
 import numpy as np
 import pytest
 
 from grf_tomo import ConeBeamGeometry, Kernel, KernelSpec, NoiseModel, ReconstructionPlan
+from grf_tomo.config import preset_path
 
 # reference experiment layout used across the suite
 CENTER = np.array([2.7, -3.1, 0.8])
@@ -25,6 +28,20 @@ def kernel():
 @pytest.fixture(scope="session")
 def noise_model():
     return NoiseModel(eps=EPS, delta_s=DELTA_S, seed=20240601)
+
+
+def write_reduced_check_config(path):
+    """Write paper.json with its check sample counts cut, so that ``check``
+    runs in about a second, and with a source-plane point and an off-center
+    point added to the Hessian battery.  Returns ``str(path)``."""
+    with open(preset_path("paper")) as fh:
+        data = json.load(fh)
+    data["checks"].update(ellipse_samples=2000, degeneracy_samples=10000,
+                          hessian_resolution=1000,
+                          hessian_points=[data["experiment"]["center"], [1.0, 1.0, 0.0],
+                                          [1.0, 2.0, -0.5]])
+    path.write_text(json.dumps(data))
+    return str(path)
 
 
 def admissible_points(geometry, rng, count, z_range=(-3.0, 3.0)):

@@ -1,5 +1,4 @@
 import hashlib
-import json
 
 import numpy as np
 import pytest
@@ -17,8 +16,8 @@ from grf_tomo import (
     weyl_sum,
 )
 from grf_tomo import cli
-from grf_tomo.config import preset_path
-from conftest import CENTER, hessian_zero_scan_reference
+from conftest import (CENTER, OFFSET_A, OFFSET_B, hessian_zero_scan_reference,
+                      write_reduced_check_config)
 
 
 RADON = Radon2DGeometry()
@@ -35,16 +34,9 @@ GOLDEN_CHECK = {
 
 
 def test_golden_check_digests(tmp_path):
-    with open(preset_path("paper")) as fh:
-        data = json.load(fh)
-    data["checks"].update(ellipse_samples=2000, degeneracy_samples=10000,
-                          hessian_resolution=1000,
-                          hessian_points=[data["experiment"]["center"], [1.0, 1.0, 0.0],
-                                          [1.0, 2.0, -0.5]])
-    config = tmp_path / "check.json"
-    config.write_text(json.dumps(data))
+    config = write_reduced_check_config(tmp_path / "check.json")
     out = tmp_path / "out"
-    assert cli.main(["check", "--config", str(config), "--out", str(out)]) == 0
+    assert cli.main(["check", "--config", config, "--out", str(out)]) == 0
     digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
                for name in GOLDEN_CHECK}
     assert digests == GOLDEN_CHECK
@@ -160,12 +152,27 @@ class TestDirectionDegeneracy:
         ratios = fractions[:-1] / fractions[1:]
         assert np.all((1.6 < ratios) & (ratios < 2.4))
 
+    def test_offset_batch_matches_single_offsets(self, geometry):
+        # one Jacobian serves all rows; each row keeps the bits of its own call
+        ray = CENTER - geometry.source_position(1.0)
+        offsets = np.array([OFFSET_A, OFFSET_B, ray])
+        tols = [1e-2, 5e-3, 2.5e-3, 1.25e-3]
+        batch = degeneracy_tolerance_scan(geometry, CENTER, offsets, tols)
+        assert batch.shape == (3, 4)
+        assert batch[2, 0] > 0
+        for offset, row in zip(offsets, batch):
+            single = degeneracy_tolerance_scan(geometry, CENTER, offset, tols)
+            assert single.shape == (4,)
+            assert single.tobytes() == row.tobytes()
+
     def test_rejects_bad_inputs(self, geometry):
         with pytest.raises(ValueError):
             direction_degeneracy_fraction(geometry, CENTER, [0.0, 0.0, 0.0])
         with pytest.raises(ValueError):
             direction_degeneracy_fraction(geometry, CENTER, [1.0, 0.0, 0.0],
                                           samples=100)
+        with pytest.raises(ValueError, match="offset 1 is zero"):
+            degeneracy_tolerance_scan(geometry, CENTER, [OFFSET_A, [0.0, 0.0, 0.0]], [1e-2])
 
     def test_fraction_invariant_under_offset_scaling(self, geometry):
         ray = np.asarray(CENTER) - geometry.source_position(2.0)

@@ -11,6 +11,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from grf_tomo import ConfigError, load_config
 from grf_tomo import cli
 from grf_tomo.config import ASSERTION_RULES, CHECKS, PAIR, from_dict, preset_path
+from conftest import write_reduced_check_config
 
 
 def base_config():
@@ -291,6 +292,9 @@ class TestCli:
          {"assertions": {"simulate": {"variance_rel": 0.08}}}, [[2.159, 3.075, -0.418]]),
         pytest.param("predict --threads 0", "--threads", {}, None, id="threads-0"),
         pytest.param("simulate --threads -4", "--threads", {}, None, id="threads-negative"),
+        # a later --out overrides the test's own; {tmp}/file is a regular file
+        pytest.param("check --out {tmp}/file", "--out", {}, None, id="out-is-file"),
+        pytest.param("check --out {tmp}/file/out", "--out", {}, None, id="out-under-file"),
     ])
     def test_load_time_fault_exits_2(self, tmp_path, capsys, command, field, sections,
                                      offsets):
@@ -298,15 +302,18 @@ class TestCli:
         data.update(copy.deepcopy(sections))
         if offsets is not None:
             data["experiment"]["offsets"] = offsets
+        (tmp_path / "file").write_text("kept\n")
         out = tmp_path / "out"
+        command, *options = command.format(tmp=tmp_path).split()
         try:
-            code = cli.main([*command.split(), "--config", write_config(tmp_path, data),
-                             "--out", str(out), "--assert"])
+            code = cli.main([command, "--config", write_config(tmp_path, data),
+                             "--out", str(out), "--assert", *options])
         except SystemExit as exc:       # argparse rejects a bad command-line value
             code = exc.code
         assert code == 2
         assert f"{field}:" in capsys.readouterr().err
         assert not out.exists()
+        assert (tmp_path / "file").read_text() == "kept\n"
 
     def test_scan_without_fields_exits_2(self, tmp_path, capsys):
         data = base_config()
@@ -366,6 +373,26 @@ class TestCli:
         assert value == expected
         if preset is None:
             assert threads == "1"
+
+    @pytest.mark.parametrize("argv,unused", [
+        (["check", "--config", "{reduced_check}"],
+         ["numpy.ma", "concurrent.futures", "numpy.polynomial"]),
+        (["predict", "--config", "{ci}"], ["numpy.ma"]),
+        (["simulate", "--config", "{ci}", "--threads", "1", "--realizations", "8"],
+         ["numpy.ma", "concurrent.futures"]),
+    ], ids=["check", "predict", "simulate-threads-1"])
+    def test_command_loads_only_what_it_runs(self, tmp_path, argv, unused):
+        # a fresh process, so that no other test has imported these modules
+        paths = {"reduced_check": write_reduced_check_config(tmp_path / "check.json"),
+                 "ci": preset_path("ci")}
+        argv = [arg.format(**paths) for arg in argv] + ["--out", str(tmp_path / "out")]
+        probe = ("import json, sys; from grf_tomo import cli; code = cli.main(sys.argv[1:]); "
+                 f"print(json.dumps([code, [m for m in {unused!r} if m in sys.modules]]))")
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+        result = subprocess.run([sys.executable, "-W", "ignore", "-c", probe, *argv],
+                                env=env, capture_output=True, text=True, timeout=120)
+        assert result.returncode == 0, result.stderr
+        assert json.loads(result.stdout.splitlines()[-1]) == [0, []]
 
     def test_console_script_version(self):
         result = subprocess.run([sys.executable, "-m", "grf_tomo.cli", "--version"],

@@ -3,10 +3,12 @@ import hashlib
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_allclose
 from scipy.integrate import quad
 
 from grf_tomo import Kernel, KernelSpec
+from grf_tomo.kernel import _sorted_unique
 
 
 def defining_integral(t, half_width, exponent):
@@ -50,6 +52,28 @@ GOLDEN_PIECES = {
     (0.8, 5): "4ee95768fff47814855315f41614ded7a584efd4f20cf709ca70b0f5c31c7f9b",
     (2.5, 1): "19e7f8563fbc02b065311652c2aa4943ecf9a2d2be0feb38fb4f179dd57171d0",
 }
+
+
+def _repeating(dtype, values):
+    """Arrays drawn from a small pool of ``values``, so values repeat."""
+    return st.lists(values, min_size=1, max_size=6).flatmap(
+        lambda pool: arrays(dtype, st.integers(0, 40), elements=st.sampled_from(pool)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(values=_repeating(np.int64, st.integers(-2**63, 2**63 - 1))
+       | _repeating(np.float64, st.floats(allow_nan=False).map(lambda v: v + 0.0)))
+def test_sorted_unique_matches_numpy_unique(values):
+    """``_sorted_unique`` gives the bits and dtype of ``np.unique``.
+
+    NaN and -0.0 are left out (adding 0.0 turns -0.0 into +0.0): which of
+    +0.0 and -0.0 ``np.unique`` keeps depends on the input order, and no
+    caller passes either.
+    """
+    expected = np.unique(values)
+    got = _sorted_unique(values)
+    assert got.dtype == expected.dtype
+    assert got.tobytes() == expected.tobytes()
 
 
 class TestSpec:
