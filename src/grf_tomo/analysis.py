@@ -159,26 +159,22 @@ def degeneracy_tolerance_scan(geometry, x0, offset, tols, samples=20000):
     thresholded at each tolerance; each offset's fractions have the bits of
     a call with that offset alone.
     """
-    offsets = np.asarray(offset, dtype=float)
-    single = offsets.ndim == 1
-    if offsets.ndim not in (1, 2):
-        raise ValueError("offset must have shape (N,) or (K, N)")
-    offsets = np.atleast_2d(offsets)
-    norms = [np.linalg.norm(row) for row in offsets]
-    for k, norm in enumerate(norms):
-        if norm == 0:
+    offset = np.asarray(offset, dtype=float)
+    rows = np.atleast_2d(offset)
+    for k, row in enumerate(rows):
+        if np.linalg.norm(row) == 0:
             raise ValueError(f"offset {k} is zero; offsets must be nonzero")
     if samples < 10**4:
         raise ValueError("samples must be >= 10^4")
     ys = np.arange(samples) * (geometry.parameter_period / samples)
     jac = geometry.project_gradient(np.asarray(x0, dtype=float), ys)
     frobenius = np.sqrt(np.sum(jac**2, axis=(-2, -1)))
-    fractions = np.empty((len(offsets), len(tols)))
-    for row, norm, out in zip(offsets, norms, fractions):
+    fractions = np.empty((len(rows), len(tols)))
+    for row, out in zip(rows, fractions):
         directional = np.linalg.norm(jac @ row, axis=-1)
-        scale = frobenius * norm
+        scale = frobenius * np.linalg.norm(row)
         out[:] = [np.mean(directional < t * scale) for t in tols]
-    return fractions[0] if single else fractions
+    return fractions[0] if offset.ndim == 1 else fractions
 
 
 # ---------------------------------------------------------------------------
