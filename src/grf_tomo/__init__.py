@@ -19,7 +19,6 @@ from .analysis import (
     WeylDecayResult,
     ZeroSetReport,
     degeneracy_tolerance_scan,
-    direction_degeneracy_fraction,
     equidistributed_average,
     fit_log_slope,
     hessian_scan_battery,
@@ -29,12 +28,7 @@ from .analysis import (
 )
 from .config import ConfigError, ExperimentConfig, load as load_config
 from .covariance import CovariancePredictor, QuadratureConvergenceError
-from .geometry import (
-    ConeBeamGeometry,
-    DegenerateProjectionError,
-    Radon2DGeometry,
-    radon2d_psi,
-)
+from .geometry import ConeBeamGeometry, DegenerateProjectionError, Radon2DGeometry
 from .kernel import Kernel, KernelSpec
 from .noise import NoiseModel, modulation_field, variance_field
 from .recon import (
@@ -68,7 +62,6 @@ __all__ = [
     "ZeroSetReport",
     "degeneracy_tolerance_scan",
     "density_mismatch",
-    "direction_degeneracy_fraction",
     "equidistributed_average",
     "fit_log_slope",
     "gaussian_on_bins",
@@ -78,7 +71,6 @@ __all__ = [
     "histogram_density_2d",
     "load_config",
     "modulation_field",
-    "radon2d_psi",
     "run_experiment",
     "variance_field",
     "weyl_decay_table",

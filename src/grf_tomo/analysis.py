@@ -6,7 +6,7 @@ Two scan-type checks qualify an expansion point for the covariance limit:
   only on a thin set of source parameters (:func:`hessian_zero_scan`);
 * the directional derivative of the projection map must vanish only on a
   null set of parameters for every offset direction
-  (:func:`direction_degeneracy_fraction`).
+  (:func:`degeneracy_tolerance_scan`).
 
 The equidistribution half of the module provides exponential sums over
 shrinking lattices and lattice averages of periodic functions, whose decay
@@ -22,6 +22,9 @@ import numpy as np
 from .kernel import _sorted_unique
 
 TWO_PI = 2.0 * np.pi
+# a Hessian scan whose second differences (for a unit direction) all stay at
+# or below this is reported degenerate: the Hessian vanishes identically
+_DEGENERATE_TOL = 1e-9
 
 
 @dataclass
@@ -43,7 +46,7 @@ class ZeroSetReport:
         return len(self.roots)
 
 
-def hessian_zero_scan(geometry, x0, direction, resolution=2000, degenerate_tol=1e-9):
+def hessian_zero_scan(geometry, x0, direction, resolution=2000):
     """Locate parameter values where a projection-component Hessian vanishes.
 
     Scans ``d^2/dy^2 [direction . projection(x0, y)]`` over one parameter
@@ -63,18 +66,15 @@ def hessian_zero_scan(geometry, x0, direction, resolution=2000, degenerate_tol=1
         invariant under positive scaling).
     resolution : int
         Number of scan samples over the period; at least 1000.
-    degenerate_tol : float
-        Declare the scan degenerate when the second difference stays below
-        this everywhere (for the unit-normalized direction).
 
     Returns
     -------
     ZeroSetReport
     """
-    return hessian_scan_battery(geometry, x0, [direction], resolution, degenerate_tol)[0]
+    return hessian_scan_battery(geometry, x0, [direction], resolution)[0]
 
 
-def hessian_scan_battery(geometry, x0, directions, resolution=2000, degenerate_tol=1e-9):
+def hessian_scan_battery(geometry, x0, directions, resolution=2000):
     """Run :func:`hessian_zero_scan` over a set of directions.
 
     The projections on the scan grid are computed once for all directions,
@@ -105,7 +105,7 @@ def hessian_scan_battery(geometry, x0, directions, resolution=2000, degenerate_t
     for direction in units:
         d2 = (plus @ direction - 2.0 * (mid @ direction) + minus @ direction) / h**2
         max_abs = float(np.max(np.abs(d2)))
-        if max_abs <= degenerate_tol:
+        if max_abs <= _DEGENERATE_TOL:
             reports.append(ZeroSetReport(np.array([]), True, resolution, direction, max_abs))
             continue
         # wrap around so sign changes across the period boundary are caught
@@ -138,20 +138,14 @@ def hessian_scan_battery(geometry, x0, directions, resolution=2000, degenerate_t
     return reports
 
 
-def direction_degeneracy_fraction(geometry, x0, offset, samples=20000, tol=1e-3):
-    """Fraction of parameters where the projection derivative kills ``offset``.
-
-    Estimates the measure of ``{y : |J(x0, y) offset| < tol * |J| |offset|}``
-    with ``J`` the projection Jacobian and Frobenius norms; under the
-    geometry checks this fraction must shrink linearly to zero with ``tol``.
-
-    Raises :class:`ValueError` for a zero offset or fewer than 10^4 samples.
-    """
-    return float(degeneracy_tolerance_scan(geometry, x0, offset, [tol], samples)[0])
-
-
 def degeneracy_tolerance_scan(geometry, x0, offset, tols, samples=20000):
-    """:func:`direction_degeneracy_fraction` over a list of tolerances.
+    """Fractions of parameters where the projection derivative kills ``offset``.
+
+    For each ``tol`` in ``tols``, estimates the measure of
+    ``{y : |J(x0, y) offset| < tol * |J| |offset|}`` with ``J`` the
+    projection Jacobian and Frobenius norms; under the geometry checks this
+    fraction must shrink linearly to zero with ``tol``.  Raises
+    :class:`ValueError` for a zero offset or fewer than 10^4 samples.
 
     ``offset`` is one offset of shape (N,), which gives fractions of shape
     (T,), or a (K, N) array of offsets, which gives (K, T).  The Jacobian

@@ -17,7 +17,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .geometry import ConeBeamGeometry, TWO_PI
+from .geometry import ConeBeamGeometry, DegenerateProjectionError, TWO_PI
 from .kernel import KernelSpec
 from .noise import NoiseModel
 
@@ -173,7 +173,6 @@ SCHEMA = {
         "offsets": Field(REQUIRED, _list_of(_numbers(3)), "a nonempty list of finite 3-vectors"),
         "detector_step": Field(REQUIRED, _positive, "a number > 0"),
         "n_views": Field(REQUIRED, _integer(1), "an integer >= 1"),
-        "view_step": Field(None, _finite_number, "a finite number"),
         "realizations": Field(REQUIRED, _integer(2), "an integer >= 2"),
         "bins": Field(REQUIRED, _integer(2), "an integer >= 2"),
     }),
@@ -287,9 +286,6 @@ def from_dict(data):
                       "for; results follow the reference experiment anyway", UserWarning,
                       stacklevel=2)
     n_views = exp["n_views"]
-    if "view_step" in exp and abs(exp["view_step"] * n_views - TWO_PI) > 1e-12:
-        raise ConfigError("experiment.view_step: view_step * n_views must equal 2*pi")
-
     eps, seed = float(exp["detector_step"]), data["noise"]["seed"]
     config = ExperimentConfig(
         geometry=ConeBeamGeometry(radius=float(geo["radius"]),
@@ -319,21 +315,14 @@ def from_dict(data):
 
 
 def _validate_admissibility(config):
-    points = config.center[None, :] + config.eps * config.offsets
-    points = np.vstack([config.center[None, :], points])
-    rho = np.hypot(points[:, 0], points[:, 1])
-    limit = config.geometry.admissible_fraction * config.geometry.radius
-    if np.any(rho > limit):
-        worst = int(np.argmax(rho))
-        raise ConfigError(
-            f"experiment.offsets: evaluation point {worst} at cylinder radius "
-            f"{rho[worst]:.4g} exceeds the admissible {limit:.4g}"
-        )
-    # every view must keep the projection denominator above its floor
+    # point 0 is the center, point k the center plus offset k - 1
+    points = np.vstack([config.center, config.center + config.eps * config.offsets])
     s = np.arange(config.n_views) * config.delta_s
     try:
+        config.geometry.check_admissible(points)
+        # every view must keep the projection denominator above its floor
         config.geometry.project(points[:, None, :], s[None, :])
-    except Exception as exc:
+    except DegenerateProjectionError as exc:
         raise ConfigError(f"experiment.offsets: {exc}") from exc
 
 

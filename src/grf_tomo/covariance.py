@@ -42,7 +42,7 @@ class CovariancePredictor:
     kernel : Kernel or KernelSpec
         Interpolation-smoothing kernel of the reconstruction.
     x0 : array_like, shape (3,)
-        Expansion point; must be admissible at every source angle.
+        Expansion point; :meth:`ConeBeamGeometry.check_admissible` must pass.
     panels : int, optional
         Number of Gauss-Legendre panels for the angle integral.
     tolerance : float, optional
@@ -58,12 +58,7 @@ class CovariancePredictor:
         self.panels = int(panels)
         self.tolerance = float(tolerance)
 
-        rho = float(np.hypot(self.x0[0], self.x0[1]))
-        limit = geometry.admissible_fraction * geometry.radius
-        if rho > limit:
-            raise ValueError(
-                f"x0 at cylinder radius {rho:.3g} exceeds admissible {limit:.3g}"
-            )
+        geometry.check_admissible(self.x0)
         # build the kernel's autocorrelation pieces now, so that evaluations
         # only read them
         kernel.autocorrelation(0.0, "d2")

@@ -16,10 +16,11 @@ from dataclasses import dataclass
 import numpy as np
 
 TWO_PI = 2.0 * np.pi
+_DENOMINATOR_FLOOR = 1e-9
 
 
 class DegenerateProjectionError(ValueError):
-    """Projection denominator fell at or below the configured floor."""
+    """A point is inadmissible, or a projection denominator is at or below 1e-9."""
 
 
 def _normalize_angle(s):
@@ -35,16 +36,12 @@ class ConeBeamGeometry:
     radius : float
         Source-trajectory radius ``R > 0``.
     admissible_fraction : float, optional
-        Reconstruction points must satisfy ``hypot(x1, x2) <= fraction * R``.
-        Used by configuration validation, not enforced per call.
-    denominator_floor : float, optional
-        Raise :class:`DegenerateProjectionError` when the projection
-        denominator is at or below this floor.
+        Reconstruction points must satisfy ``hypot(x1, x2) <= fraction * R``;
+        checked by :meth:`check_admissible`, not per projection.
     """
 
     radius: float
     admissible_fraction: float = 0.9
-    denominator_floor: float = 1e-9
 
     parameter_period = TWO_PI
 
@@ -53,6 +50,22 @@ class ConeBeamGeometry:
             raise ValueError(f"radius must be > 0, got {self.radius}")
         if not 0 < self.admissible_fraction < 1:
             raise ValueError("admissible_fraction must lie in (0, 1)")
+
+    def check_admissible(self, points):
+        """Raise :class:`DegenerateProjectionError` for a point beyond ``fraction * R``.
+
+        ``points`` has shape (..., 3); the message names the point farthest
+        from the axis by its index in the flattened array.
+        """
+        points = np.reshape(np.asarray(points, dtype=float), (-1, 3))
+        rho = np.hypot(points[:, 0], points[:, 1])
+        limit = self.admissible_fraction * self.radius
+        worst = int(np.argmax(rho))
+        if rho[worst] > limit:
+            raise DegenerateProjectionError(
+                f"point {worst} at cylinder radius {rho[worst]:.4g} exceeds the "
+                f"admissible {limit:.4g}"
+            )
 
     def source_position(self, s):
         """Source point ``(R cos s, R sin s, 0)``; broadcasts over ``s``."""
@@ -66,10 +79,10 @@ class ConeBeamGeometry:
         x = np.asarray(x, dtype=float)
         s = _normalize_angle(s)
         den = 1.0 - (x[..., 0] * np.cos(s) + x[..., 1] * np.sin(s)) / self.radius
-        if np.any(den <= self.denominator_floor):
+        if np.any(den <= _DENOMINATOR_FLOOR):
             raise DegenerateProjectionError(
                 f"projection denominator {np.min(den):.3e} at or below floor "
-                f"{self.denominator_floor:.1e}"
+                f"{_DENOMINATOR_FLOOR:.1e}"
             )
         return den, x, s
 
@@ -91,7 +104,7 @@ class ConeBeamGeometry:
         Raises
         ------
         DegenerateProjectionError
-            If any projection denominator is ``<= denominator_floor``.
+            If any projection denominator is ``<= 1e-9``.
         """
         den, x, s = self._denominator(x, s)
         t = 1.0 / den
@@ -140,14 +153,6 @@ class ConeBeamGeometry:
         return out if np.ndim(out) else float(out)
 
 
-def radon2d_psi(x, alpha):
-    """Signed distance map of the classical 2D Radon family: ``x . (cos a, sin a)``."""
-    x = np.asarray(x, dtype=float)
-    alpha = _normalize_angle(alpha)
-    out = x[..., 0] * np.cos(alpha) + x[..., 1] * np.sin(alpha)
-    return out if np.ndim(out) else float(out)
-
-
 class Radon2DGeometry:
     """Classical 2D Radon parametrization, used by the assumption checks.
 
@@ -158,7 +163,10 @@ class Radon2DGeometry:
     parameter_period = TWO_PI
 
     def projection(self, x, alpha):
-        return np.asarray(radon2d_psi(x, alpha))[..., None]
+        """Signed distance ``x . (cos a, sin a)``, shape (..., 1)."""
+        x = np.asarray(x, dtype=float)
+        alpha = _normalize_angle(alpha)
+        return (x[..., 0] * np.cos(alpha) + x[..., 1] * np.sin(alpha))[..., None]
 
     def project_gradient(self, x, alpha):
         alpha = _normalize_angle(alpha)

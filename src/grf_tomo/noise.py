@@ -17,7 +17,6 @@ has variance ``(eps^4 / delta_s) * sigma2`` with ``sigma2 = h^2 / 3``
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
 
 import numpy as np
 
@@ -115,6 +114,9 @@ def variance_field(s, u, v):
 class NoiseModel:
     """Deterministic structured noise on the ``(view, detector)`` grid.
 
+    The per-sample standard deviation is ``scale * h / sqrt(3)``, with ``h``
+    the :func:`modulation_field`.
+
     Parameters
     ----------
     eps : float
@@ -124,16 +126,11 @@ class NoiseModel:
         one turn.
     seed : int
         64-bit unsigned master seed.
-    modulation : callable, optional
-        Replacement amplitude field ``h(s, u, v)``; defaults to
-        :func:`modulation_field`.  The per-sample standard deviation is
-        ``scale * h / sqrt(3)``.
     """
 
     eps: float
     delta_s: float
     seed: int
-    modulation: Optional[Callable] = None
 
     def __post_init__(self):
         if not self.eps > 0:
@@ -151,10 +148,6 @@ class NoiseModel:
     def scale(self):
         """Amplitude ``eps^2 / sqrt(delta_s)`` multiplying every draw."""
         return self.eps**2 / np.sqrt(self.delta_s)
-
-    def _modulation(self, s, u, v):
-        fn = self.modulation if self.modulation is not None else modulation_field
-        return fn(s, u, v)
 
     def _check_indices(self, realization, j):
         realization = np.asarray(realization)
@@ -181,7 +174,7 @@ class NoiseModel:
         """
         nu = self.uniform(realization, j, k1, k2)
         s = np.asarray(j, dtype=float) * self.delta_s
-        amp = self.scale * self._modulation(s, self.eps * np.asarray(k1, dtype=float),
+        amp = self.scale * modulation_field(s, self.eps * np.asarray(k1, dtype=float),
                                             self.eps * np.asarray(k2, dtype=float))
         out = amp * nu
         return out if np.ndim(out) else float(out)

@@ -32,10 +32,10 @@ _BATCH = 128
 _SITE_BLOCK = 512
 
 
-def _footprint_bounds(coord, support, margin):
-    """Integer index window covering ``|coord - k| < support`` plus margin."""
-    lo = np.floor(coord - support).astype(np.int64) + 1 - margin
-    hi = np.ceil(coord + support).astype(np.int64) - 1 + margin
+def _footprint_bounds(coord, support):
+    """Integer index window covering ``|coord - k| < support``."""
+    lo = np.floor(coord - support).astype(np.int64) + 1
+    hi = np.ceil(coord + support).astype(np.int64) - 1
     return lo, hi
 
 
@@ -54,14 +54,9 @@ class ReconstructionPlan:
         Scan geometry, reconstruction kernel, and noise description.
     points : array_like, shape (L, 3)
         Spatial evaluation points (already in absolute coordinates).
-    footprint_margin : int, optional
-        Extra detector indices added around each footprint.  The added sites
-        carry zero weight and are excluded from the reduction, so any margin
-        produces bit-identical reconstructions; exposed for testing that
-        invariance.
     """
 
-    def __init__(self, geometry, kernel, noise_model, points, footprint_margin=0):
+    def __init__(self, geometry, kernel, noise_model, points):
         if not isinstance(kernel, Kernel):
             kernel = Kernel(kernel)
         self.geometry = geometry
@@ -75,13 +70,12 @@ class ReconstructionPlan:
         n_views = noise_model.n_views
         support = kernel.spec.support
         s = np.arange(n_views) * noise_model.delta_s
-        margin = int(footprint_margin)
 
         # one window per view, wide enough for every point; each point's own
         # footprint within it is masked by ok1 and ok2
         u, v = geometry.project(self.points[:, None, :], s)      # (L, nv)
-        lo1, hi1 = _footprint_bounds(u / eps, support, margin)
-        lo2, hi2 = _footprint_bounds(v / eps, support, margin)
+        lo1, hi1 = _footprint_bounds(u / eps, support)
+        lo2, hi2 = _footprint_bounds(v / eps, support)
         if np.any(np.abs(np.stack([lo1, hi1, lo2, hi2])) >= _INDEX_BIAS):
             raise ValueError("detector index exceeds packing range")
         k1 = lo1[..., None] + np.arange(int(np.max(hi1 - lo1)) + 1)   # (L, nv, m1)
@@ -116,7 +110,7 @@ class ReconstructionPlan:
         self._offsets = np.searchsorted(
             order, np.arange(len(self.points))[:, None] * self.n_sites + bounds)
         self._site_keys = noise_mod.site_keys(self.site_j, self.site_k1, self.site_k2)
-        self._site_amp = noise_model.scale * noise_model._modulation(
+        self._site_amp = noise_model.scale * noise_mod.modulation_field(
             self.site_j * noise_model.delta_s, eps * self.site_k1, eps * self.site_k2
         )
         self._prefactor = noise_model.delta_s / eps**2
@@ -306,7 +300,9 @@ class HistogramDensity:
 
 def _default_range(values):
     # mean +/- 4.5 standard deviations keeps essentially all Gaussian mass;
-    # clip to the observed extremes so the range never exceeds the data
+    # clip to the observed extremes so the range never exceeds the data;
+    # by Chebyshev's inequality at least 95 % of the samples lie inside it,
+    # and 90 % inside both ranges of a pair, so no histogram comes out empty
     mu, sd = float(np.mean(values)), float(np.std(values))
     lo = max(mu - 4.5 * sd, float(np.min(values)))
     hi = min(mu + 4.5 * sd, float(np.max(values)))
@@ -315,40 +311,37 @@ def _default_range(values):
     return lo, hi
 
 
-def histogram_density(samples, bins, bin_range=None):
+def histogram_density(samples, bins):
     """1D density histogram with uniform bins.
 
-    ``bin_range`` defaults to the sample mean plus/minus 4.5 standard
-    deviations, clipped to the sample extremes.
+    The bins span the sample mean plus/minus 4.5 standard deviations,
+    clipped to the sample extremes.
     """
     samples = np.asarray(samples, dtype=float).ravel()
     if samples.size == 0:
         raise ValueError("cannot histogram an empty sample")
     if bins < 2:
         raise ValueError("bins must be >= 2")
-    lo, hi = _default_range(samples) if bin_range is None else map(float, bin_range)
-    counts, edges = np.histogram(samples, bins=bins, range=(lo, hi))
+    counts, edges = np.histogram(samples, bins=bins, range=_default_range(samples))
     total = counts.sum()
-    if total == 0:
-        raise ValueError("no samples fall inside the bin range")
     width = edges[1] - edges[0]
     return HistogramDensity(edges=(edges,), density=counts / (total * width))
 
 
-def histogram_density_2d(samples, bins, ranges=None):
-    """2D density histogram over sample pairs of shape (n, 2)."""
+def histogram_density_2d(samples, bins):
+    """2D density histogram over sample pairs of shape (n, 2).
+
+    Each axis is binned as in :func:`histogram_density`.
+    """
     samples = np.asarray(samples, dtype=float)
     if samples.ndim != 2 or samples.shape[1] != 2 or samples.shape[0] == 0:
         raise ValueError("need a nonempty (n, 2) sample array")
     if bins < 2:
         raise ValueError("bins must be >= 2")
-    if ranges is None:
-        ranges = (_default_range(samples[:, 0]), _default_range(samples[:, 1]))
-    counts, ex, ey = np.histogram2d(samples[:, 0], samples[:, 1],
-                                    bins=bins, range=ranges)
+    counts, ex, ey = np.histogram2d(samples[:, 0], samples[:, 1], bins=bins,
+                                    range=(_default_range(samples[:, 0]),
+                                           _default_range(samples[:, 1])))
     total = counts.sum()
-    if total == 0:
-        raise ValueError("no samples fall inside the bin ranges")
     area = (ex[1] - ex[0]) * (ey[1] - ey[0])
     return HistogramDensity(edges=(ex, ey), density=counts / (total * area))
 

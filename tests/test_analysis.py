@@ -7,7 +7,6 @@ from numpy.testing import assert_allclose
 from grf_tomo import (
     Radon2DGeometry,
     degeneracy_tolerance_scan,
-    direction_degeneracy_fraction,
     equidistributed_average,
     fit_log_slope,
     hessian_scan_battery,
@@ -125,20 +124,20 @@ class TestDirectionDegeneracy:
         assert np.all((1.8 < ratios) & (ratios < 2.2))
         # the scan thresholds one Jacobian; each tolerance alone gives the same bits
         assert np.array_equal(fractions, [
-            direction_degeneracy_fraction(RADON, [0.0, 0.0], offset, samples=200000, tol=t)
+            degeneracy_tolerance_scan(RADON, [0.0, 0.0], offset, [t], samples=200000)[0]
             for t in tols])
 
     def test_radon_fraction_vanishes_with_tolerance(self):
-        frac = direction_degeneracy_fraction(RADON, [0.0, 0.0], [0.3, -0.4],
-                                             samples=50000, tol=1e-6)
+        frac = degeneracy_tolerance_scan(RADON, [0.0, 0.0], [0.3, -0.4], [1e-6],
+                                         samples=50000)[0]
         assert frac < 1e-4
 
     def test_cone_beam_generic_offset_fraction_zero(self, geometry):
         for seed in range(3):
             rng = np.random.default_rng(seed)
             offset = rng.normal(size=3)
-            frac = direction_degeneracy_fraction(geometry, CENTER, offset,
-                                                 samples=20000, tol=1e-3)
+            frac = degeneracy_tolerance_scan(geometry, CENTER, offset, [1e-3],
+                                             samples=20000)[0]
             assert frac == 0.0
 
     def test_cone_beam_ray_aligned_offset(self, geometry):
@@ -167,17 +166,17 @@ class TestDirectionDegeneracy:
 
     def test_rejects_bad_inputs(self, geometry):
         with pytest.raises(ValueError):
-            direction_degeneracy_fraction(geometry, CENTER, [0.0, 0.0, 0.0])
+            degeneracy_tolerance_scan(geometry, CENTER, [0.0, 0.0, 0.0], [1e-3])
         with pytest.raises(ValueError):
-            direction_degeneracy_fraction(geometry, CENTER, [1.0, 0.0, 0.0],
-                                          samples=100)
+            degeneracy_tolerance_scan(geometry, CENTER, [1.0, 0.0, 0.0], [1e-3],
+                                      samples=100)
         with pytest.raises(ValueError, match="offset 1 is zero"):
             degeneracy_tolerance_scan(geometry, CENTER, [OFFSET_A, [0.0, 0.0, 0.0]], [1e-2])
 
     def test_fraction_invariant_under_offset_scaling(self, geometry):
         ray = np.asarray(CENTER) - geometry.source_position(2.0)
-        a = direction_degeneracy_fraction(geometry, CENTER, ray, 20000, 1e-2)
-        b = direction_degeneracy_fraction(geometry, CENTER, 7.5 * ray, 20000, 1e-2)
+        a = degeneracy_tolerance_scan(geometry, CENTER, ray, [1e-2], 20000)[0]
+        b = degeneracy_tolerance_scan(geometry, CENTER, 7.5 * ray, [1e-2], 20000)[0]
         assert a == b
 
 

@@ -1,4 +1,5 @@
 import copy
+import hashlib
 import json
 import os
 import subprocess
@@ -113,14 +114,6 @@ class TestConfigValidation:
         data["experiment"]["detector_step"] = 0.0
         with pytest.raises(ConfigError, match="experiment.detector_step"):
             from_dict(data)
-
-    def test_view_step_consistency(self):
-        data = base_config()
-        data["experiment"]["view_step"] = 2.0 * np.pi / 500 + 1e-9
-        with pytest.raises(ConfigError, match="view_step"):
-            from_dict(data)
-        data["experiment"]["view_step"] = 2.0 * np.pi / 500
-        assert from_dict(data).n_views == 500
 
     def test_inadmissible_offset_rejected(self):
         data = base_config()
@@ -290,6 +283,9 @@ class TestCli:
          {"assertions": {"predict": {"cross_covariance": [99.0, 1e-9]}}}, [[0.0, 0.0, 0.0]]),
         ("simulate", "assertions.simulate.variance_rel",
          {"assertions": {"simulate": {"variance_rel": 0.08}}}, [[2.159, 3.075, -0.418]]),
+        # n_views alone fixes the angular step
+        pytest.param("predict", "experiment.view_step", {"experiment": dict(
+            base_config()["experiment"], view_step=2.0 * np.pi / 500)}, None, id="view-step"),
         pytest.param("predict --threads 0", "--threads", {}, None, id="threads-0"),
         pytest.param("simulate --threads -4", "--threads", {}, None, id="threads-negative"),
         # a later --out overrides the test's own; {tmp}/file is a regular file
@@ -398,3 +394,23 @@ class TestCli:
         result = subprocess.run([sys.executable, "-m", "grf_tomo.cli", "--version"],
                                 capture_output=True, text=True)
         assert result.returncode == 0
+
+
+# sha256 of the simulate outputs for ci.json at --realizations 256 --threads 2,
+# taken before the histogram bin ranges were fixed to the sample-based
+# default; the manifest carries timestamps and is not covered
+GOLDEN_SIMULATE = {
+    "stats.json": "8512ff83b128c82f32c580f724286db7ab4ecf02ebbe5b9d9272d992db60b571",
+    "hist1d_0.csv": "9dba819717af2a59157f6120847262f736bc59911a11397e1a3e5c5efd3cdd7e",
+    "hist1d_1.csv": "09ff01b7cb879412cb89df1e236d90a80908b406c9da57931bc821a915d384c8",
+    "hist1d_2.csv": "9c66f70b912384f24cf3e791f6319677077a673047b020e68093477514a28ed8",
+    "hist2d.csv": "ef3b77d5da372adfb3ba373d1242d913345eb500a4039f25b71baab7e200181a",
+}
+
+
+def test_golden_simulate_digests(tmp_path):
+    assert cli.main(["simulate", "--config", str(preset_path("ci")), "--out", str(tmp_path),
+                     "--realizations", "256", "--threads", "2"]) == 0
+    digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+               for name in GOLDEN_SIMULATE}
+    assert digests == GOLDEN_SIMULATE

@@ -2,12 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from grf_tomo import (
-    ConeBeamGeometry,
-    DegenerateProjectionError,
-    Radon2DGeometry,
-    radon2d_psi,
-)
+from grf_tomo import ConeBeamGeometry, DegenerateProjectionError, Radon2DGeometry
 from conftest import admissible_points
 
 
@@ -106,9 +101,11 @@ class TestEllipseResidual:
 
 class TestRadon2D:
     def test_psi_values(self):
-        assert radon2d_psi([1.0, 0.0], 0.0) == 1.0
-        assert abs(radon2d_psi([1.0, 0.0], np.pi / 2)) < 1e-15
-        assert_allclose(radon2d_psi([3.0, 4.0], np.arctan2(4.0, 3.0)), 5.0, rtol=1e-15)
+        geo = Radon2DGeometry()
+        assert geo.projection([1.0, 0.0], 0.0)[..., 0] == 1.0
+        assert abs(geo.projection([1.0, 0.0], np.pi / 2)[..., 0]) < 1e-15
+        assert_allclose(geo.projection([3.0, 4.0], np.arctan2(4.0, 3.0))[..., 0], 5.0,
+                        rtol=1e-15)
 
     def test_geometry_interface_shapes(self):
         geo = Radon2DGeometry()

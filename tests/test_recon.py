@@ -16,7 +16,7 @@ from grf_tomo import (
     histogram_density_2d,
     load_config,
 )
-from grf_tomo import recon
+from grf_tomo import noise, recon
 from grf_tomo.config import preset_path
 from grf_tomo.recon import _BATCH, streaming_moments
 from conftest import (
@@ -32,14 +32,28 @@ from conftest import (
 )
 
 
-def ci_plan(seed, margin=0):
+def ci_plan(seed):
     """Reconstruction plan for the ``ci.json`` points at the given seed."""
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)    # the preset's smoothness note
         cfg = load_config(preset_path("ci")).replace(seed=seed)
     points = cfg.center + cfg.eps * cfg.offsets
-    return ReconstructionPlan(cfg.geometry, cfg.kernel, cfg.noise, points,
-                              footprint_margin=margin)
+    return ReconstructionPlan(cfg.geometry, cfg.kernel, cfg.noise, points)
+
+
+def widen_footprints(monkeypatch, margin):
+    """Add ``margin`` detector indices on each side of every footprint window.
+
+    The added sites carry zero weight and never enter the reduction, so
+    plans built while this patch holds must reconstruct the same bits.
+    """
+    tight = recon._footprint_bounds
+
+    def padded(coord, support):
+        lo, hi = tight(coord, support)
+        return lo - margin, hi + margin
+
+    monkeypatch.setattr(recon, "_footprint_bounds", padded)
 
 
 # sha256 of reconstruct(arange(1000), threads=2) for the ci.json points, taken
@@ -63,8 +77,9 @@ GOLDEN_COVARIANCE = "6d806221c7693129f45d994036476be088133b726f1c9d7acff30ed808d
 
 
 @pytest.mark.parametrize("margin", [0, 2])
-def test_golden_exact_covariance_digest(margin):
-    cov = ci_plan(20240601, margin).exact_covariance()
+def test_golden_exact_covariance_digest(monkeypatch, margin):
+    widen_footprints(monkeypatch, margin)
+    cov = ci_plan(20240601).exact_covariance()
     assert hashlib.sha256(cov.tobytes()).hexdigest() == GOLDEN_COVARIANCE
 
 
@@ -157,11 +172,12 @@ class TestPlan:
         multi = plan.reconstruct(r, threads=7)
         assert np.array_equal(single, multi)
 
-    def test_window_margin_does_not_change_bits(self, geometry, kernel, noise_model):
+    def test_window_margin_does_not_change_bits(self, geometry, kernel, noise_model,
+                                                monkeypatch):
         points = [CENTER, CENTER + EPS * OFFSET_B]
         tight = ReconstructionPlan(geometry, kernel, noise_model, points)
-        padded = ReconstructionPlan(geometry, kernel, noise_model, points,
-                                    footprint_margin=3)
+        widen_footprints(monkeypatch, 3)
+        padded = ReconstructionPlan(geometry, kernel, noise_model, points)
         r = np.arange(50)
         assert padded.n_sites > tight.n_sites
         assert np.array_equal(tight.reconstruct(r), padded.reconstruct(r))
@@ -183,15 +199,14 @@ class TestPlan:
         assert np.array_equal(together.reconstruct(r)[:, 2],
                               alone.reconstruct(r)[:, 0])
 
-    def test_doubled_modulation_scales_samples(self, geometry, kernel):
-        base = NoiseModel(eps=EPS, delta_s=DELTA_S, seed=5)
-        loud = NoiseModel(eps=EPS, delta_s=DELTA_S, seed=5,
-                          modulation=lambda s, u, v: 2.0
-                          * (1.0 + 0.5 * np.sin(2 * s))
-                          * (1.0 - 0.4 * np.cos(u)) * (1.0 + 0.6 * np.sin(v)))
+    def test_doubled_modulation_scales_samples(self, geometry, kernel, monkeypatch):
+        model = NoiseModel(eps=EPS, delta_s=DELTA_S, seed=5)
         r = np.arange(64)
-        a = ReconstructionPlan(geometry, kernel, base, [CENTER]).reconstruct(r)
-        b = ReconstructionPlan(geometry, kernel, loud, [CENTER]).reconstruct(r)
+        a = ReconstructionPlan(geometry, kernel, model, [CENTER]).reconstruct(r)
+        monkeypatch.setattr(noise, "modulation_field", lambda s, u, v: 2.0
+                            * (1.0 + 0.5 * np.sin(2 * s))
+                            * (1.0 - 0.4 * np.cos(u)) * (1.0 + 0.6 * np.sin(v)))
+        b = ReconstructionPlan(geometry, kernel, model, [CENTER]).reconstruct(r)
         assert_allclose(b, 2.0 * a, rtol=1e-12)
         # covariances therefore scale by the square
         assert_allclose(np.var(b, ddof=1), 4.0 * np.var(a, ddof=1), rtol=1e-12)
@@ -248,8 +263,11 @@ class TestPlan:
 @pytest.fixture(scope="module")
 def margin_plans(geometry, kernel, noise_model):
     points = [CENTER + EPS * OFFSET_B, CENTER]
-    plans = {m: ReconstructionPlan(geometry, kernel, noise_model, points,
-                                   footprint_margin=m) for m in range(4)}
+    plans = {}
+    for margin in range(4):
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            widen_footprints(monkeypatch, margin)
+            plans[margin] = ReconstructionPlan(geometry, kernel, noise_model, points)
     return plans, plans[0].reconstruct(np.arange(300))
 
 
@@ -299,7 +317,7 @@ class TestHistogram:
     def test_gaussian_oracle_small_mismatch(self):
         rng = np.random.default_rng(11)
         samples = rng.normal(size=10**6)
-        hist = histogram_density(samples, bins=21, bin_range=(-4.0, 4.0))
+        hist = histogram_density(samples, bins=21)
         pdf = gaussian_on_bins(0.0, 1.0, hist)
         assert density_mismatch(hist.density, pdf) < 0.01
 
@@ -318,7 +336,7 @@ class TestHistogram:
 
 class TestGaussianOnBins:
     def test_standard_normal_center(self):
-        hist = histogram_density(np.linspace(-1, 1, 100), bins=21, bin_range=(-0.5, 0.5))
+        hist = histogram_density(np.linspace(-1, 1, 100), bins=21)
         pdf = gaussian_on_bins(0.0, 1.0, hist)
         idx = np.argmin(np.abs(hist.centers[0]))
         center = hist.centers[0][idx]
@@ -327,7 +345,7 @@ class TestGaussianOnBins:
 
     def test_2d_identity_covariance_origin(self):
         hist = histogram_density_2d(np.random.default_rng(13).normal(size=(1000, 2)),
-                                    bins=21, ranges=((-4, 4), (-4, 4)))
+                                    bins=21)
         pdf = gaussian_on_bins(np.zeros(2), np.eye(2), hist)
         i = np.argmin(np.abs(hist.centers[0]))
         j = np.argmin(np.abs(hist.centers[1]))
@@ -336,7 +354,7 @@ class TestGaussianOnBins:
         assert_allclose(pdf[i, j], expected, rtol=1e-12)
 
     def test_riemann_sum_normalizes(self):
-        hist = histogram_density(np.linspace(-6, 6, 100), bins=200, bin_range=(-6.0, 6.0))
+        hist = histogram_density(np.linspace(-6, 6, 100), bins=200)
         pdf = gaussian_on_bins(0.0, 1.0, hist)
         width = hist.edges[0][1] - hist.edges[0][0]
         assert abs(pdf.sum() * width - 1.0) < 1e-3
