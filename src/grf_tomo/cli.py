@@ -125,8 +125,11 @@ def cmd_predict(config, args, out_dir):
 
 
 def cmd_simulate(config, args, out_dir):
-    stats = run_experiment(config, threads=args.threads)
+    # predicting first frees the predictor's temporaries before the plan and
+    # the worker buffers exist, and a quadrature that does not converge
+    # fails before any Monte Carlo runs
     _, predicted = _prediction(config)
+    stats = run_experiment(config, threads=args.threads)
     outputs = []
     histograms = {}
     pdf_mismatch_1d = []

@@ -26,10 +26,14 @@ _INDEX_BIAS = 1 << 20          # detector indices packed as 21-bit biased ints
 # Realizations per batch and sites per hashing block.  Neither fixes the
 # output bits: each point adds its terms one after another in site order,
 # and every batch width >= 2 and every block size keeps that order.  A
-# batch works in three _SITE_BLOCK x _BATCH buffers (hash words, draws and
-# one point's terms), 512 KB apiece, so they stay in a 2 MB L2 cache.
+# batch works in two _SITE_BLOCK x _BATCH buffers (hash words, which then
+# hold one point's terms, and draws), 512 KB apiece, so they stay in a 2 MB
+# L2 cache.
 _BATCH = 128
 _SITE_BLOCK = 512
+# sites per chunk when the plan hashes its site keys and amplitudes; each
+# chunk's temporaries are the size of one batch buffer
+_SITE_CHUNK = _SITE_BLOCK * _BATCH
 
 
 def _footprint_bounds(coord, support):
@@ -37,6 +41,12 @@ def _footprint_bounds(coord, support):
     lo = np.floor(coord - support).astype(np.int64) + 1
     hi = np.ceil(coord + support).astype(np.int64) - 1
     return lo, hi
+
+
+def _unpack(pack):
+    """View, detector row and detector column indices of packed site words."""
+    return (pack >> 42, ((pack >> 21) & (2**21 - 1)) - _INDEX_BIAS,
+            (pack & (2**21 - 1)) - _INDEX_BIAS)
 
 
 class ReconstructionPlan:
@@ -72,7 +82,9 @@ class ReconstructionPlan:
         s = np.arange(n_views) * noise_model.delta_s
 
         # one window per view, wide enough for every point; each point's own
-        # footprint within it is masked by ok1 and ok2
+        # footprint within it is masked by ok1 and ok2.  The (L, nv, m1, m2)
+        # arrays are the largest the plan makes, so each is deleted as soon as
+        # the tables no longer need it
         u, v = geometry.project(self.points[:, None, :], s)      # (L, nv)
         lo1, hi1 = _footprint_bounds(u / eps, support)
         lo2, hi2 = _footprint_bounds(v / eps, support)
@@ -84,40 +96,65 @@ class ReconstructionPlan:
         ok2 = k2 <= hi2[..., None]
         w1 = np.where(ok1, kernel.second_derivative(u[..., None] / eps - k1), 0.0)
         w2 = np.where(ok2, kernel.value(v[..., None] / eps - k2), 0.0)
-        w = w1[..., :, None] * w2[..., None, :]                  # (L, nv, m1, m2)
         packed = (np.arange(n_views)[:, None, None] << 42) \
             | ((k1[..., :, None] + _INDEX_BIAS) << 21) | (k2[..., None, :] + _INDEX_BIAS)
         # noise is generated for the whole window, but zero-weight cells
         # never enter the reduction, so the summed term sequence (and
-        # every output bit) is independent of window enlargement
-        site_pack = _sorted_unique(packed[ok1[..., :, None] & ok2[..., None, :]])
-        self.site_j = (site_pack >> 42).astype(np.int64)
-        self.site_k1 = ((site_pack >> 21) & (2**21 - 1)).astype(np.int64) - _INDEX_BIAS
-        self.site_k2 = (site_pack & (2**21 - 1)).astype(np.int64) - _INDEX_BIAS
+        # every output bit) is independent of window enlargement.  The sites
+        # stay packed; site_j, site_k1 and site_k2 decode them on access
+        self._site_pack = _sorted_unique(packed[ok1[..., :, None] & ok2[..., None, :]])
+        w = w1[..., :, None] * w2[..., None, :]                  # (L, nv, m1, m2)
+        del k1, k2, ok1, ok2, w1, w2
 
         # the plan is one table of (point, site, weight) terms, in C order of
         # w: by point, then by packed site.  The batch kernel hashes the sites
         # in blocks of _SITE_BLOCK; point l's terms in block b are the rows
         # _offsets[l, b]:_offsets[l, b + 1], in the unblocked sum's order
         keep = w != 0.0
-        self._term_point = np.nonzero(keep)[0]
-        self._term_site = np.searchsorted(site_pack, packed[keep])
         self._term_weight = w[keep]
-        order = self._term_point * self.n_sites + self._term_site
+        del w
+        term_pack = packed[keep]
+        counts = np.count_nonzero(keep.reshape(len(self.points), -1), axis=1)
+        del packed, keep
+        self._term_site = np.searchsorted(self._site_pack, term_pack).astype(np.int32)
+        del term_pack
+        order = np.repeat(np.arange(len(self.points)) * self.n_sites, counts)
+        order += self._term_site
         assert np.all(np.diff(order) > 0), "plan terms must follow point and site order"
         # the last bound is n_sites itself, so no block runs into the next point
         bounds = np.append(np.arange(0, self.n_sites, _SITE_BLOCK), self.n_sites)
         self._offsets = np.searchsorted(
             order, np.arange(len(self.points))[:, None] * self.n_sites + bounds)
-        self._site_keys = noise_mod.site_keys(self.site_j, self.site_k1, self.site_k2)
-        self._site_amp = noise_model.scale * noise_mod.modulation_field(
-            self.site_j * noise_model.delta_s, eps * self.site_k1, eps * self.site_k2
-        )
+        del order
+
+        self._site_keys = np.empty(self.n_sites, dtype=np.uint64)
+        self._site_amp = np.empty(self.n_sites)
+        for lo in range(0, self.n_sites, _SITE_CHUNK):
+            chunk = slice(lo, lo + _SITE_CHUNK)
+            j, k1, k2 = _unpack(self._site_pack[chunk])
+            self._site_keys[chunk] = noise_mod.site_keys(j, k1, k2)
+            self._site_amp[chunk] = noise_model.scale * noise_mod.modulation_field(
+                j * noise_model.delta_s, eps * k1, eps * k2)
         self._prefactor = noise_model.delta_s / eps**2
 
     @property
     def n_sites(self):
-        return self.site_j.size
+        return self._site_pack.size
+
+    @property
+    def site_j(self):
+        """View index of each site, in site order."""
+        return _unpack(self._site_pack)[0]
+
+    @property
+    def site_k1(self):
+        """Detector row index of each site, in site order."""
+        return _unpack(self._site_pack)[1]
+
+    @property
+    def site_k2(self):
+        """Detector column index of each site, in site order."""
+        return _unpack(self._site_pack)[2]
 
     def exact_covariance(self):
         """Exact covariance matrix of the reconstructions under the model.
@@ -126,8 +163,11 @@ class ReconstructionPlan:
         variances, so it carries no Monte-Carlo error; the sample covariance
         over realizations converges to this matrix.
         """
+        # point l's terms are the rows _offsets[l, 0]:_offsets[l, -1]
+        term_point = np.repeat(np.arange(len(self.points)),
+                               self._offsets[:, -1] - self._offsets[:, 0])
         dense = np.zeros((self.n_sites, len(self.points)))
-        dense[self._term_site, self._term_point] = self._term_weight
+        dense[self._term_site, term_point] = self._term_weight
         site_var = self._site_amp**2 / 3.0
         return self._prefactor**2 * (dense * site_var[:, None]).T @ dense
 
@@ -138,12 +178,14 @@ class ReconstructionPlan:
             return self._run_batch(np.repeat(realizations, 2))[:1]
         streams = noise_mod.stream_keys(self.noise_model.seed, realizations)[None, :]
         width = realizations.size
-        bits = np.empty((_SITE_BLOCK, width), dtype=np.uint64)
+        bits = np.empty((_SITE_BLOCK + 1, width), dtype=np.uint64)
         eta = np.empty((_SITE_BLOCK, width))
-        # row 0 carries the point's running sum into each block's reduce; it
-        # starts at +0.0, and 0.0 + t == t unless t is -0.0, so each sum keeps
-        # the bits of its terms' sequential sum
-        terms = np.empty((_SITE_BLOCK + 1, width))
+        # once a block's draws are made its hash words are dead, so the same
+        # buffer holds one point's terms.  Row 0 carries the point's running
+        # sum into each block's reduce; it starts at +0.0, and 0.0 + t == t
+        # unless t is -0.0, so each sum keeps the bits of its terms'
+        # sequential sum
+        terms = bits.view(np.float64)
         acc = np.zeros((len(self.points), width))
         for block, lo in enumerate(range(0, self.n_sites, _SITE_BLOCK)):
             hi = min(lo + _SITE_BLOCK, self.n_sites)

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from grf_tomo import ConfigError, load_config
+from grf_tomo import ConfigError, ReconstructionPlan, load_config
 from grf_tomo import cli
 from grf_tomo.config import ASSERTION_RULES, CHECKS, PAIR, from_dict, preset_path
 from conftest import write_reduced_check_config
@@ -253,6 +253,17 @@ class TestCli:
         data["prediction"] = {"panels": 1, "tolerance": 1e-300}
         path = write_config(tmp_path, data)
         assert cli.main(["predict", "--config", path,
+                         "--out", str(tmp_path / "n")]) == 3
+
+    def test_simulate_fails_before_monte_carlo(self, tmp_path, monkeypatch):
+        def reconstruct(*args, **kwargs):
+            raise AssertionError("reconstruct ran before the prediction failed")
+
+        monkeypatch.setattr(ReconstructionPlan, "reconstruct", reconstruct)
+        data = base_config()
+        data["prediction"] = {"panels": 1, "tolerance": 1e-300}
+        path = write_config(tmp_path, data)
+        assert cli.main(["simulate", "--config", path,
                          "--out", str(tmp_path / "n")]) == 3
 
     def test_assert_mode_exit_codes(self, tmp_path, capsys):
