@@ -1,10 +1,12 @@
 """Command-line entry point: ``grf-tomo predict | simulate | check``.
 
-Every command reads one JSON configuration, writes its numeric outputs as
-JSON/CSV files into the output directory, and finishes with a manifest that
-echoes the configuration and lists every file written, so a run can be
-reproduced bit-for-bit from the manifest alone (the manifest itself carries
-timestamps and is the only output that varies between identical runs).
+Every command is a function ``cmd_*(config, threads) -> (files, metrics)``
+that touches no file: ``files`` maps each output name, in writing order, to a
+JSON object or a CSV table ``(header, rows)``.  :func:`main` then adds a
+manifest that echoes the configuration and lists the other files, and writes
+them all, so a failed run writes nothing.  A run can be reproduced bit-for-bit
+from the manifest alone (the manifest carries timestamps and is the only
+output that varies between identical runs).
 
 Exit codes: 0 success, 2 configuration error, 3 numerical error,
 4 assertion failure in ``--assert`` mode.
@@ -40,39 +42,17 @@ EXIT_NUMERICAL = 3
 EXIT_ASSERT = 4
 
 
-def _fmt(value):
-    return format(float(value), ".17g")
-
-
-def _write_csv(path, header, rows):
+def _write(path, payload):
+    """Write a JSON object, or a CSV table given as ``(header, rows)``."""
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
-
-
-def _write_json(path, payload):
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def _manifest(out_dir, command, config, args, outputs, metrics, assertions):
-    path = os.path.join(out_dir, "manifest.json")
-    _write_json(path, {
-        "tool": "grf-tomo",
-        "version": __version__,
-        "command": command,
-        "created_utc": datetime.datetime.now(datetime.timezone.utc).isoformat(),
-        "seed": config.seed,
-        "threads": args.threads,
-        "config": config.to_dict(),
-        "outputs": sorted(os.path.basename(p) for p in outputs),
-        "metrics": metrics,
-        "assertions": assertions,
-    })
-    return path
+        if isinstance(payload, dict):
+            json.dump(payload, fh, indent=2, sort_keys=True)
+            fh.write("\n")
+        else:
+            header, rows = payload
+            writer = csv.writer(fh)
+            writer.writerow(header)
+            writer.writerows([format(float(v), ".17g") for v in row] for row in rows)
 
 
 def _prediction(config):
@@ -86,37 +66,26 @@ def _prediction(config):
 # ---------------------------------------------------------------------------
 
 
-def cmd_predict(config, args, out_dir):
+def cmd_predict(config, threads):
     predictor, matrix = _prediction(config)
-    outputs = []
-
-    path = os.path.join(out_dir, "cov_pred.json")
-    _write_json(path, {
-        "offsets": config.offsets.tolist(),
-        "variance": matrix[0, 0],
-        "matrix": matrix.tolist(),
-    })
-    outputs.append(path)
-
-    path = os.path.join(out_dir, "cov_pred.csv")
-    rows = [(i, j, matrix[i, j]) for i in range(matrix.shape[0])
-            for j in range(matrix.shape[1])]
-    _write_csv(path, ["row", "col", "covariance"], rows)
-    outputs.append(path)
+    files = {
+        "cov_pred.json": {"offsets": config.offsets.tolist(), "variance": matrix[0, 0],
+                          "matrix": matrix.tolist()},
+        "cov_pred.csv": (["row", "col", "covariance"],
+                         [(i, j, matrix[i, j]) for i, j in np.ndindex(matrix.shape)]),
+    }
 
     scan_cfg = config.checks.get("covariance_scan")
     if scan_cfg:
         direction = np.asarray(scan_cfg["direction"], dtype=float)
         radii = np.asarray(scan_cfg["radii"], dtype=float)
         values = predictor.covariance_profile(direction, radii)
-        path = os.path.join(out_dir, "cov_scan.csv")
-        _write_csv(path, ["radius", "covariance"], zip(radii, values))
-        outputs.append(path)
+        files["cov_scan.csv"] = (["radius", "covariance"], list(zip(radii, values)))
 
     metrics = {"variance": matrix[0, 0]}
     if matrix.shape[0] > 1:
         metrics["cross_covariance_first_pair"] = matrix[0, 1]
-    return outputs, metrics
+    return files, metrics
 
 
 # ---------------------------------------------------------------------------
@@ -124,29 +93,26 @@ def cmd_predict(config, args, out_dir):
 # ---------------------------------------------------------------------------
 
 
-def cmd_simulate(config, args, out_dir):
+def cmd_simulate(config, threads):
     # predicting first frees the predictor's temporaries before the plan and
     # the worker buffers exist, and a quadrature that does not converge
     # fails before any Monte Carlo runs
     _, predicted = _prediction(config)
-    stats = run_experiment(config, threads=args.threads)
-    outputs = []
+    stats = run_experiment(config, threads=threads)
+    files = {}
     histograms = {}
     pdf_mismatch_1d = []
     for k in range(stats.offsets.shape[0]):
         hist = histogram_density(stats.samples[:, k], config.bins)
         pdf = gaussian_on_bins(0.0, predicted[k, k], hist)
-        mismatch = density_mismatch(hist.density, pdf)
-        pdf_mismatch_1d.append(mismatch)
+        pdf_mismatch_1d.append(density_mismatch(hist.density, pdf))
         histograms[f"offset_{k}"] = {
             "edges": hist.edges[0].tolist(),
             "observed_density": hist.density.tolist(),
             "predicted_density": pdf.tolist(),
         }
-        path = os.path.join(out_dir, f"hist1d_{k}.csv")
-        _write_csv(path, ["bin_center", "observed_density", "predicted_density"],
-                   zip(hist.centers[0], hist.density, pdf))
-        outputs.append(path)
+        files[f"hist1d_{k}.csv"] = (["bin_center", "observed_density", "predicted_density"],
+                                    list(zip(hist.centers[0], hist.density, pdf)))
 
     mismatch_2d = None
     if stats.offsets.shape[0] >= 2:
@@ -159,12 +125,10 @@ def cmd_simulate(config, args, out_dir):
             "predicted_density": pdf2.tolist(),
         }
         cx, cy = hist2.centers
-        rows = [(cx[i], cy[j], hist2.density[i, j], pdf2[i, j])
-                for i in range(len(cx)) for j in range(len(cy))]
-        path = os.path.join(out_dir, "hist2d.csv")
-        _write_csv(path, ["bin_center_1", "bin_center_2",
-                          "observed_density", "predicted_density"], rows)
-        outputs.append(path)
+        files["hist2d.csv"] = (["bin_center_1", "bin_center_2",
+                                "observed_density", "predicted_density"],
+                               [(cx[i], cy[j], hist2.density[i, j], pdf2[i, j])
+                                for i, j in np.ndindex(pdf2.shape)])
 
     pair = predicted[:2, :2]
     pair_mismatch = float(np.sum(np.abs(stats.covariance[:2, :2] - pair)) / np.sum(np.abs(pair)))
@@ -181,8 +145,7 @@ def cmd_simulate(config, args, out_dir):
         metrics["variance_at_center"] = stats.variance[zero_idx]
         metrics["predicted_variance"] = predicted[zero_idx, zero_idx]
 
-    path = os.path.join(out_dir, "stats.json")
-    _write_json(path, {
+    files["stats.json"] = {
         "offsets": stats.offsets.tolist(),
         "n_realizations": stats.n_realizations,
         "sample_mean": stats.mean.tolist(),
@@ -191,9 +154,8 @@ def cmd_simulate(config, args, out_dir):
         "predicted_covariance": predicted.tolist(),
         "histograms": histograms,
         "metrics": metrics,
-    })
-    outputs.append(path)
-    return outputs, metrics
+    }
+    return files, metrics
 
 
 # ---------------------------------------------------------------------------
@@ -201,16 +163,15 @@ def cmd_simulate(config, args, out_dir):
 # ---------------------------------------------------------------------------
 
 
-def _hessian_directions(count=8):
-    angles = np.arange(count) * (2.0 * np.pi / count)
-    return np.stack([np.cos(angles), np.sin(angles)], axis=-1)
+# the direction battery of every Hessian zero-set scan: 8 angles 45 degrees apart
+_HESSIAN_DIRECTIONS = np.stack([np.cos(np.arange(8) * (np.pi / 4)),
+                                np.sin(np.arange(8) * (np.pi / 4))], axis=-1)
 
 
-def cmd_check(config, args, out_dir):
+def cmd_check(config, threads):
     geometry = config.geometry
     checks = config.checks
     rng = np.random.default_rng(config.seed)
-    outputs = []
     report = {}
 
     # algebraic projection identity on random admissible points
@@ -232,7 +193,7 @@ def cmd_check(config, args, out_dir):
     battery = []
     for point in checks["hessian_points"]:
         reports = analysis.hessian_scan_battery(
-            geometry, point, _hessian_directions(), resolution=resolution)
+            geometry, point, _HESSIAN_DIRECTIONS, resolution=resolution)
         degenerate = [r.direction.tolist() for r in reports if r.degenerate]
         entry = {
             "point": list(map(float, point)),
@@ -258,35 +219,26 @@ def cmd_check(config, args, out_dir):
     report["degeneracy_fractions"] = scans
 
     # Radon-model sanity: two Hessian roots for any off-center point
-    radon = analysis.hessian_zero_scan(
-        Radon2DGeometry(), np.array([2.0, 1.0]), np.array([1.0]),
-        resolution=resolution)
-    report["radon2d_root_count"] = radon.count
+    report["radon2d_root_count"] = analysis.hessian_zero_scan(
+        Radon2DGeometry(), np.array([2.0, 1.0]), np.array([1.0]), resolution=resolution).count
 
     # exponential-sum decay for a quadratic phase with nonresonant slope
     box = checks["weyl"]["box"]
     decay = analysis.weyl_decay_table(lambda y: 0.5 * y**2, box,
                                       exponents=checks["weyl"]["exponents"])
-    slope = decay.slope
-    path = os.path.join(out_dir, "weyl.csv")
-    _write_csv(path, ["eps", "magnitude"], zip(decay.eps_values, decay.magnitudes))
-    outputs.append(path)
     average = analysis.equidistributed_average(
         lambda r: np.cos(2 * np.pi * r) ** 2, lambda y: 0.5 * y**2, 1e-4, box)
-    report["weyl"] = {"slope": slope, "eps": decay.eps_values.tolist(),
+    report["weyl"] = {"slope": decay.slope, "eps": decay.eps_values.tolist(),
                       "magnitudes": decay.magnitudes.tolist(),
                       "periodic_average": average}
 
-    path = os.path.join(out_dir, "checks.json")
-    _write_json(path, report)
-    outputs.append(path)
-
     metrics = {
         "ellipse_max_abs_residual": report["ellipse_identity"]["max_abs_residual"],
-        "weyl_slope": slope,
+        "weyl_slope": decay.slope,
         "degeneracy_fractions": [scan["fractions"] for scan in scans],
     }
-    return outputs, metrics
+    return {"weyl.csv": (["eps", "magnitude"], list(zip(decay.eps_values, decay.magnitudes))),
+            "checks.json": report}, metrics
 
 
 # ---------------------------------------------------------------------------
@@ -348,7 +300,7 @@ def main(argv=None):
         return EXIT_CONFIG
 
     try:
-        outputs, metrics = _COMMANDS[args.command](config, args, args.out)
+        files, metrics = _COMMANDS[args.command](config, args.threads)
     except (QuadratureConvergenceError, DegenerateProjectionError,
             FloatingPointError, np.linalg.LinAlgError, ValueError) as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
@@ -362,9 +314,21 @@ def main(argv=None):
         assertions.append({"rule": f"assertions.{args.command}.{name}", "value": value,
                            "threshold": threshold,
                            "passed": bool(rule.passes(value, threshold, config))})
-    outputs.append(_manifest(args.out, args.command, config, args, outputs, metrics,
-                             assertions))
-    for path in outputs:
+    files["manifest.json"] = {
+        "tool": "grf-tomo",
+        "version": __version__,
+        "command": args.command,
+        "created_utc": datetime.datetime.now(datetime.timezone.utc).isoformat(),
+        "seed": config.seed,
+        "threads": args.threads,
+        "config": config.to_dict(),
+        "outputs": sorted(files),
+        "metrics": metrics,
+        "assertions": assertions,
+    }
+    for name, payload in files.items():
+        path = os.path.join(args.out, name)
+        _write(path, payload)
         print(f"wrote {path}")
     for key, value in metrics.items():
         print(f"{key}: {value}")

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +14,10 @@ OFFSET_B = np.array([2.546, -2.974, 0.983])
 EPS = 0.05
 N_VIEWS = 500
 DELTA_S = 2.0 * np.pi / N_VIEWS
+
+# the pytest pythonpath setting does not reach a subprocess, which gets this
+# checkout's sources through PYTHONPATH instead
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 @pytest.fixture(scope="session")
@@ -42,6 +47,14 @@ def write_reduced_check_config(path):
                                           [1.0, 2.0, -0.5]])
     path.write_text(json.dumps(data))
     return str(path)
+
+
+def assert_manifest_lists_outputs(out):
+    """The manifest in the output directory ``out`` (a ``pathlib.Path``)
+    lists exactly the other files in it, sorted."""
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["outputs"] == sorted(p.name for p in out.iterdir()
+                                         if p.name != "manifest.json")
 
 
 def admissible_points(geometry, rng, count, z_range=(-3.0, 3.0)):

@@ -15,8 +15,8 @@ from grf_tomo import (
     weyl_sum,
 )
 from grf_tomo import cli
-from conftest import (CENTER, OFFSET_A, OFFSET_B, hessian_zero_scan_reference,
-                      write_reduced_check_config)
+from conftest import (CENTER, OFFSET_A, OFFSET_B, assert_manifest_lists_outputs,
+                      hessian_zero_scan_reference, write_reduced_check_config)
 
 
 RADON = Radon2DGeometry()
@@ -39,6 +39,7 @@ def test_golden_check_digests(tmp_path):
     digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
                for name in GOLDEN_CHECK}
     assert digests == GOLDEN_CHECK
+    assert_manifest_lists_outputs(out)
 
 
 class TestHessianZeroScan:

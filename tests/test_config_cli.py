@@ -12,7 +12,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from grf_tomo import ConfigError, ReconstructionPlan, load_config
 from grf_tomo import cli
 from grf_tomo.config import ASSERTION_RULES, CHECKS, PAIR, from_dict, preset_path
-from conftest import write_reduced_check_config
+from conftest import SRC, assert_manifest_lists_outputs, write_reduced_check_config
 
 
 def base_config():
@@ -266,6 +266,16 @@ class TestCli:
         assert cli.main(["simulate", "--config", path,
                          "--out", str(tmp_path / "n")]) == 3
 
+    def test_numerical_error_writes_no_file(self, tmp_path, monkeypatch):
+        def histogram_density_2d(*args, **kwargs):
+            raise ValueError("planted after the 1-D histograms")
+
+        monkeypatch.setattr(cli, "histogram_density_2d", histogram_density_2d)
+        out = tmp_path / "n"
+        assert cli.main(["simulate", "--config", str(preset_path("ci")), "--out", str(out),
+                         "--realizations", "64"]) == 3
+        assert list(out.iterdir()) == []
+
     def test_assert_mode_exit_codes(self, tmp_path, capsys):
         data = base_config()
         data["assertions"] = {"predict": {"variance": [99.0, 1e-4],
@@ -369,7 +379,7 @@ class TestCli:
         env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
         if preset is not None:
             env["OPENBLAS_NUM_THREADS"] = preset
-        env["PYTHONPATH"] = os.path.dirname(os.path.dirname(cli.__file__))
+        env["PYTHONPATH"] = SRC
         probe = ("import os, grf_tomo; print(os.environ['OPENBLAS_NUM_THREADS'], "
                  "len(os.listdir('/proc/self/task')) if os.path.isdir('/proc/self/task') "
                  "else 1)")
@@ -395,14 +405,15 @@ class TestCli:
         argv = [arg.format(**paths) for arg in argv] + ["--out", str(tmp_path / "out")]
         probe = ("import json, sys; from grf_tomo import cli; code = cli.main(sys.argv[1:]); "
                  f"print(json.dumps([code, [m for m in {unused!r} if m in sys.modules]]))")
-        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
         result = subprocess.run([sys.executable, "-W", "ignore", "-c", probe, *argv],
-                                env=env, capture_output=True, text=True, timeout=120)
+                                env=dict(os.environ, PYTHONPATH=SRC),
+                                capture_output=True, text=True, timeout=120)
         assert result.returncode == 0, result.stderr
         assert json.loads(result.stdout.splitlines()[-1]) == [0, []]
 
     def test_console_script_version(self):
         result = subprocess.run([sys.executable, "-m", "grf_tomo.cli", "--version"],
+                                env=dict(os.environ, PYTHONPATH=SRC),
                                 capture_output=True, text=True)
         assert result.returncode == 0
 
@@ -425,3 +436,27 @@ def test_golden_simulate_digests(tmp_path):
     digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
                for name in GOLDEN_SIMULATE}
     assert digests == GOLDEN_SIMULATE
+    assert_manifest_lists_outputs(tmp_path)
+
+
+# sha256 of the predict outputs for ci.json with a covariance scan added,
+# taken while each command still wrote its own files
+GOLDEN_PREDICT = {
+    "cov_pred.json": "175abb07f9e8c64a162ec7e1b563438049e0f61afc9d80d8c37bc6bea9465919",
+    "cov_pred.csv": "759b609a8e6bdeeb65a703da04fab2b65dac933bf232fe8440b382393aacfb41",
+    "cov_scan.csv": "36a20d498eb1b3b6a8fcdfbf33c578a706fbfe1ed4093a3df5688a9aad71129d",
+}
+
+
+def test_golden_predict_digests(tmp_path):
+    with open(preset_path("ci")) as fh:
+        data = json.load(fh)
+    data["checks"]["covariance_scan"] = {"direction": [0.3, 1.0, -0.5],
+                                         "radii": [0.0, 0.5, 1.0, 2.0, 3.5]}
+    out = tmp_path / "out"
+    assert cli.main(["predict", "--config", write_config(tmp_path, data),
+                     "--out", str(out)]) == 0
+    digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+               for name in GOLDEN_PREDICT}
+    assert digests == GOLDEN_PREDICT
+    assert_manifest_lists_outputs(out)

@@ -1,4 +1,5 @@
 import hashlib
+import os
 import subprocess
 import sys
 
@@ -8,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from grf_tomo import CovariancePredictor, QuadratureConvergenceError
-from conftest import CENTER, OFFSET_A, OFFSET_B, quad2d_response_correlation
+from conftest import CENTER, OFFSET_A, OFFSET_B, SRC, quad2d_response_correlation
 
 
 @pytest.fixture(scope="module")
@@ -167,6 +168,7 @@ def test_prediction_does_not_import_scipy():
         "p.variance()",
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))",
     ])
-    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    result = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=SRC),
+                            capture_output=True, text=True)
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "[]"

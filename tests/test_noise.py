@@ -90,6 +90,18 @@ class TestMoments:
         assert abs(np.var(nu) / (1.0 / 3.0) - 1.0) < 0.01
         assert abs(np.mean(np.abs(nu) ** 3) / 0.25 - 1.0) < 0.01
 
+    def test_hashed_uniform_exact_moments(self):
+        # 2000 sites x 2000 streams through uniform_into, as the reconstruction
+        # hashes them; a draw scale of 1.01 moves E[nu^2] by about 45 standard
+        # errors, and no science gate sees it
+        nu = noise.uniform_from_keys(noise.site_keys(np.arange(2000)[:, None], 3, -4),
+                                     noise.stream_keys(5, np.arange(2000)))
+        # uniform on [-1, 1): E[nu^2k] = 1/(2k+1), so Var(nu^p) follows exactly
+        for power, mean, variance in ((1, 0.0, 1 / 3), (2, 1 / 3, 1 / 5 - 1 / 9),
+                                      (4, 1 / 5, 1 / 9 - 1 / 25)):
+            z = (np.mean(nu**power) - mean) / np.sqrt(variance / nu.size)
+            assert abs(z) < 6.0, (power, z)
+
     def test_sample_amplitude_bound(self, noise_model):
         j, k1, k2 = 100, 7, -4
         vals = noise_model.sample(np.arange(1000), j, k1, k2)
