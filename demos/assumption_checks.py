@@ -28,15 +28,10 @@ from grf_tomo import (
 )
 
 geometry = ConeBeamGeometry(radius=10.0)
-rng = np.random.default_rng(7)
 
 # --- projected-orbit identity ------------------------------------------------
 count = 5000
-rho = 9.0 * np.sqrt(rng.uniform(size=count))
-phi = rng.uniform(0, 2 * np.pi, size=count)
-pts = np.stack([rho * np.cos(phi), rho * np.sin(phi),
-                rng.uniform(-3, 3, size=count)], axis=-1)
-res = geometry.ellipse_residual(pts, rng.uniform(0, 2 * np.pi, size=count))
+res = geometry.ellipse_residual(*geometry.ellipse_sample(count, seed=7))
 print(f"projected-orbit identity over {count} random points: "
       f"max |residual| = {np.max(np.abs(res)):.2e} (scale R^4 = {10.0**4:.0f})")
 
@@ -62,7 +57,7 @@ print(f"\n2D parallel-beam model at (2, 1): {report.count} Hessian zeros at "
 center = np.array([2.7, -3.1, 0.8])
 tols = [2e-2, 1e-2, 5e-3, 2.5e-3]
 
-generic = rng.normal(size=3)
+generic = np.random.default_rng(7).normal(size=3)
 frac_generic = degeneracy_tolerance_scan(geometry, center, generic, tols,
                                          samples=100000)
 ray = center - geometry.source_position(1.0)

@@ -171,17 +171,11 @@ _HESSIAN_DIRECTIONS = np.stack([np.cos(np.arange(8) * (np.pi / 4)),
 def cmd_check(config, threads):
     geometry = config.geometry
     checks = config.checks
-    rng = np.random.default_rng(config.seed)
     report = {}
 
     # algebraic projection identity on random admissible points
     n_ellipse = checks["ellipse_samples"]
-    rho = geometry.admissible_fraction * geometry.radius * np.sqrt(rng.uniform(size=n_ellipse))
-    phi = rng.uniform(0, 2 * np.pi, size=n_ellipse)
-    pts = np.stack([rho * np.cos(phi), rho * np.sin(phi),
-                    rng.uniform(-3, 3, size=n_ellipse)], axis=-1)
-    svals = rng.uniform(0, 2 * np.pi, size=n_ellipse)
-    residual = geometry.ellipse_residual(pts, svals)
+    residual = geometry.ellipse_residual(*geometry.ellipse_sample(n_ellipse, config.seed))
     report["ellipse_identity"] = {
         "samples": n_ellipse,
         "max_abs_residual": float(np.max(np.abs(residual))),

@@ -15,6 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .noise import site_keys, stream_keys, uniform_from_keys
+
 TWO_PI = 2.0 * np.pi
 _DENOMINATOR_FLOOR = 1e-9
 
@@ -137,6 +139,21 @@ class ConeBeamGeometry:
         grad[..., 1, 1] = x[..., 2] * tt_r * sn
         grad[..., 1, 2] = t
         return grad
+
+    def ellipse_sample(self, count, seed):
+        """``count`` admissible points, shape (count, 3), and source angles.
+
+        Point ``i`` has ``rho = fraction * R * sqrt(u)``, ``phi`` and angle
+        uniform on ``[0, 2*pi)`` and ``x3`` on ``[-3, 3)``, hashed from ``(seed,
+        i, coordinate)`` at view -1, which no noise datum has: so the first
+        ``n`` points do not depend on ``count``.
+        """
+        u = 0.5 * (uniform_from_keys(site_keys(-1, np.arange(count)[:, None], np.arange(4)),
+                                     stream_keys(seed, 0)) + 1.0)
+        rho = self.admissible_fraction * self.radius * np.sqrt(u[:, 0])
+        phi = TWO_PI * u[:, 1]
+        points = np.stack([rho * np.cos(phi), rho * np.sin(phi), 6.0 * u[:, 2] - 3.0], axis=-1)
+        return points, TWO_PI * u[:, 3]
 
     def ellipse_residual(self, x, s):
         """Defect of the algebraic identity satisfied by the projected orbit.

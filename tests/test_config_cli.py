@@ -393,11 +393,13 @@ class TestCli:
 
     @pytest.mark.parametrize("argv,unused", [
         (["check", "--config", "{reduced_check}"],
-         ["numpy.ma", "concurrent.futures", "numpy.polynomial"]),
-        (["predict", "--config", "{ci}"], ["numpy.ma"]),
+         ["numpy.ma", "numpy.random", "concurrent.futures", "numpy.polynomial"]),
+        (["predict", "--config", "{ci}"], ["numpy.ma", "numpy.random"]),
         (["simulate", "--config", "{ci}", "--threads", "1", "--realizations", "8"],
-         ["numpy.ma", "concurrent.futures"]),
-    ], ids=["check", "predict", "simulate-threads-1"])
+         ["numpy.ma", "numpy.random", "concurrent.futures"]),
+        (["simulate", "--config", "{ci}", "--threads", "2", "--realizations", "8"],
+         ["numpy.ma", "numpy.random"]),
+    ], ids=["check", "predict", "simulate-threads-1", "simulate-threads-2"])
     def test_command_loads_only_what_it_runs(self, tmp_path, argv, unused):
         # a fresh process, so that no other test has imported these modules
         paths = {"reduced_check": write_reduced_check_config(tmp_path / "check.json"),

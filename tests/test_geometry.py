@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from grf_tomo import ConeBeamGeometry, DegenerateProjectionError, Radon2DGeometry
@@ -97,6 +98,23 @@ class TestEllipseResidual:
         s = rng.uniform(0, 2 * np.pi, size=100)
         res = geometry.ellipse_residual(pts, s)
         assert np.max(np.abs(res)) < 1e-10 * geometry.radius**4
+
+
+class TestEllipseSample:
+    @given(st.integers(1, 300), st.integers(0, 2**64 - 1))
+    @settings(max_examples=25, deadline=None)
+    def test_admissible_and_prefix_stable(self, count, seed):
+        geometry = ConeBeamGeometry(radius=10.0)
+        pts, s = geometry.ellipse_sample(count, seed)
+        assert pts.shape == (count, 3) and s.shape == (count,)
+        geometry.check_admissible(pts)
+        assert np.all((pts[:, 2] >= -3.0) & (pts[:, 2] < 3.0))
+        assert np.all((s >= 0.0) & (s < 2 * np.pi))
+        # keyed by index, so a longer sample starts with the shorter one
+        longer, s_longer = geometry.ellipse_sample(2 * count, seed)
+        assert np.array_equal(longer[:count], pts) and np.array_equal(s_longer[:count], s)
+        other, s_other = geometry.ellipse_sample(count, (seed + 1) % 2**64)
+        assert not np.array_equal(other, pts) and not np.array_equal(s_other, s)
 
 
 class TestRadon2D:
