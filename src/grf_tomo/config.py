@@ -12,7 +12,7 @@ from __future__ import annotations
 import copy
 import json
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -206,6 +206,7 @@ class ExperimentConfig:
     tolerance: float
     checks: dict
     assertions: dict
+    _document: dict = field(repr=False)
 
     @property
     def delta_s(self):
@@ -232,18 +233,7 @@ class ExperimentConfig:
 
     def to_dict(self):
         """The validated document, defaults filled in; :func:`from_dict` rebuilds ``self``."""
-        geo, ker = self.geometry, self.kernel
-        return {
-            "geometry": {"radius": geo.radius, "admissible_fraction": geo.admissible_fraction},
-            "kernel": {"half_width": ker.half_width, "exponent": ker.exponent},
-            "noise": {"seed": self.seed},
-            "experiment": {"center": list(self.center), "offsets": [list(o) for o in self.offsets],
-                           "detector_step": self.eps, "n_views": self.n_views,
-                           "realizations": self.realizations, "bins": self.bins},
-            "prediction": {"panels": self.panels, "tolerance": self.tolerance},
-            "checks": self.checks,
-            "assertions": self.assertions,
-        }
+        return copy.deepcopy(self._document)
 
 
 def _section(data, schema, path="", doc=None):
@@ -303,6 +293,7 @@ def from_dict(data):
         tolerance=float(pred["tolerance"]),
         checks=data["checks"],
         assertions=data["assertions"],
+        _document=data,
     )
     for command, rules in config.assertions.items():
         for name in rules:

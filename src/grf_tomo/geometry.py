@@ -78,15 +78,17 @@ class ConeBeamGeometry:
         )
 
     def _denominator(self, x, s):
+        """Projection denominator, ``x`` as an array, and ``cos s`` and ``sin s``."""
         x = np.asarray(x, dtype=float)
         s = _normalize_angle(s)
-        den = 1.0 - (x[..., 0] * np.cos(s) + x[..., 1] * np.sin(s)) / self.radius
+        cs, sn = np.cos(s), np.sin(s)
+        den = 1.0 - (x[..., 0] * cs + x[..., 1] * sn) / self.radius
         if np.any(den <= _DENOMINATOR_FLOOR):
             raise DegenerateProjectionError(
                 f"projection denominator {np.min(den):.3e} at or below floor "
                 f"{_DENOMINATOR_FLOOR:.1e}"
             )
-        return den, x, s
+        return den, x, cs, sn
 
     def project(self, x, s):
         """Stereographic projection of ``x`` onto the detector at angle ``s``.
@@ -108,9 +110,9 @@ class ConeBeamGeometry:
         DegenerateProjectionError
             If any projection denominator is ``<= 1e-9``.
         """
-        den, x, s = self._denominator(x, s)
+        den, x, cs, sn = self._denominator(x, s)
         t = 1.0 / den
-        u = t * (-x[..., 0] * np.sin(s) + x[..., 1] * np.cos(s))
+        u = t * (-x[..., 0] * sn + x[..., 1] * cs)
         v = t * x[..., 2]
         return u, v
 
@@ -125,13 +127,12 @@ class ConeBeamGeometry:
         Analytic differentiation of the projection map, including the chain
         terms through the denominator.
         """
-        den, x, s = self._denominator(x, s)
-        cs, sn = np.cos(s), np.sin(s)
+        den, x, cs, sn = self._denominator(x, s)
         t = 1.0 / den
         w = -x[..., 0] * sn + x[..., 1] * cs
         # dT/dx = (T^2/R) * (cos s, sin s, 0)
         tt_r = t * t / self.radius
-        shape = np.broadcast_shapes(x[..., 0].shape, np.shape(s))
+        shape = np.broadcast_shapes(x[..., 0].shape, np.shape(cs))
         grad = np.zeros(shape + (2, 3))
         grad[..., 0, 0] = -t * sn + w * tt_r * cs
         grad[..., 0, 1] = t * cs + w * tt_r * sn

@@ -166,15 +166,18 @@ class NoiseModel:
                                 stream_keys(self.seed, realization))
         return out if np.ndim(out) else float(out)
 
+    def amplitude(self, j, k1, k2):
+        """Amplitude ``scale * h(s_j, eps*k1, eps*k2)`` of a site's draws; broadcasts."""
+        return self.scale * modulation_field(np.asarray(j, dtype=float) * self.delta_s,
+                                             self.eps * np.asarray(k1, dtype=float),
+                                             self.eps * np.asarray(k2, dtype=float))
+
     def sample(self, realization, j, k1, k2):
-        """Noise value ``scale * h(s_j, eps*k1, eps*k2) * nu``.
+        """Noise value ``amplitude(j, k1, k2) * nu``.
 
         Broadcasts over all index arguments.  Raises :class:`IndexError`
         when ``realization < 0`` or ``j`` is outside ``[0, n_views)``.
         """
         nu = self.uniform(realization, j, k1, k2)
-        s = np.asarray(j, dtype=float) * self.delta_s
-        amp = self.scale * modulation_field(s, self.eps * np.asarray(k1, dtype=float),
-                                            self.eps * np.asarray(k2, dtype=float))
-        out = amp * nu
+        out = self.amplitude(j, k1, k2) * nu
         return out if np.ndim(out) else float(out)

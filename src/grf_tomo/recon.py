@@ -15,6 +15,7 @@ evaluation-point set, the detector-window margins, and the thread count.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -133,8 +134,7 @@ class ReconstructionPlan:
             chunk = slice(lo, lo + _SITE_CHUNK)
             j, k1, k2 = _unpack(self._site_pack[chunk])
             self._site_keys[chunk] = noise_mod.site_keys(j, k1, k2)
-            self._site_amp[chunk] = noise_model.scale * noise_mod.modulation_field(
-                j * noise_model.delta_s, eps * k1, eps * k2)
+            self._site_amp[chunk] = noise_model.amplitude(j, k1, k2)
         self._prefactor = noise_model.delta_s / eps**2
 
     @property
@@ -354,38 +354,28 @@ def _default_range(values):
 
 
 def histogram_density(samples, bins):
-    """1D density histogram with uniform bins.
+    """Density histogram with uniform bins over a sample (n,) or sample rows (n, d).
 
-    The bins span the sample mean plus/minus 4.5 standard deviations,
-    clipped to the sample extremes.
+    Each axis's bins span its sample mean plus/minus 4.5 standard
+    deviations, clipped to the sample extremes.
     """
-    samples = np.asarray(samples, dtype=float).ravel()
-    if samples.size == 0:
-        raise ValueError("cannot histogram an empty sample")
+    samples = np.asarray(samples, dtype=float)
+    rows = samples.reshape(-1, 1) if samples.ndim < 2 else samples
+    if rows.ndim != 2 or rows.size == 0:
+        raise ValueError("need a nonempty sample of shape (n,) or (n, d)")
     if bins < 2:
         raise ValueError("bins must be >= 2")
-    counts, edges = np.histogram(samples, bins=bins, range=_default_range(samples))
-    total = counts.sum()
-    width = edges[1] - edges[0]
-    return HistogramDensity(edges=(edges,), density=counts / (total * width))
+    counts, edges = np.histogramdd(rows, bins=bins,
+                                   range=[_default_range(axis) for axis in rows.T])
+    cell = math.prod(e[1] - e[0] for e in edges)
+    return HistogramDensity(edges=tuple(edges), density=counts / (counts.sum() * cell))
 
 
 def histogram_density_2d(samples, bins):
-    """2D density histogram over sample pairs of shape (n, 2).
-
-    Each axis is binned as in :func:`histogram_density`.
-    """
-    samples = np.asarray(samples, dtype=float)
-    if samples.ndim != 2 or samples.shape[1] != 2 or samples.shape[0] == 0:
+    """2D density histogram over sample pairs of shape (n, 2); see :func:`histogram_density`."""
+    if np.shape(samples)[1:] != (2,):
         raise ValueError("need a nonempty (n, 2) sample array")
-    if bins < 2:
-        raise ValueError("bins must be >= 2")
-    counts, ex, ey = np.histogram2d(samples[:, 0], samples[:, 1], bins=bins,
-                                    range=(_default_range(samples[:, 0]),
-                                           _default_range(samples[:, 1])))
-    total = counts.sum()
-    area = (ex[1] - ex[0]) * (ey[1] - ey[0])
-    return HistogramDensity(edges=(ex, ey), density=counts / (total * area))
+    return histogram_density(samples, bins)
 
 
 def gaussian_on_bins(mean, cov, histogram):

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from grf_tomo import ConfigError, ReconstructionPlan, load_config
-from grf_tomo import cli
+from grf_tomo import cli, config
 from grf_tomo.config import ASSERTION_RULES, CHECKS, PAIR, from_dict, preset_path
 from conftest import SRC, assert_manifest_lists_outputs, write_reduced_check_config
 
@@ -154,6 +154,20 @@ class TestConfigValidation:
         assert other.seed == 99 and other.noise.seed == 99
         assert other.realizations == 128
         assert cfg.seed == 11
+
+    def test_document_keeps_every_schema_field(self, monkeypatch):
+        # a field that only SCHEMA and from_dict know must still reach the
+        # manifest and survive --seed and --realizations overrides
+        monkeypatch.setitem(config.SCHEMA["prediction"].valid, "probe",
+                            config.Field(1, config._integer(1), "an integer >= 1"))
+        data = base_config()
+        data["prediction"] = {"probe": 7}
+        cfg = from_dict(data)
+        assert cfg.to_dict()["prediction"] == {"panels": 2000, "tolerance": 1e-4, "probe": 7}
+        assert cfg.replace(seed=3).to_dict()["prediction"]["probe"] == 7
+        # the copy is the caller's own
+        cfg.to_dict()["prediction"]["probe"] = 8
+        assert cfg.to_dict()["prediction"]["probe"] == 7
 
 
 class TestCli:

@@ -124,6 +124,13 @@ class TestMoments:
             corr = np.corrcoef(base, other)[0, 1]
             assert abs(corr) < 3.0 / np.sqrt(n)
 
+    def test_sample_is_amplitude_times_uniform(self, noise_model):
+        r, j, k1, k2 = np.arange(50)[:, None], np.arange(0, 500, 10), 7, np.arange(-25, 25)
+        expected = noise_model.amplitude(j, k1, k2) * noise_model.uniform(r, j, k1, k2)
+        assert noise_model.sample(r, j, k1, k2).tobytes() == expected.tobytes()
+        assert noise_model.sample(3, 17, -12, 40) == (noise_model.amplitude(17, -12, 40)
+                                                      * noise_model.uniform(3, 17, -12, 40))
+
     def test_custom_modulation(self, monkeypatch):
         model = NoiseModel(eps=EPS, delta_s=DELTA_S, seed=9)
         base = model.sample(5, 3, 1, 2)

@@ -18,7 +18,7 @@ from grf_tomo import (
 )
 from grf_tomo import noise, recon
 from grf_tomo.config import preset_path
-from grf_tomo.recon import _BATCH, streaming_moments
+from grf_tomo.recon import _BATCH, _default_range, streaming_moments
 from conftest import (
     CENTER,
     DELTA_S,
@@ -260,6 +260,11 @@ class TestPlan:
         # covariances therefore scale by the square
         assert_allclose(np.var(b, ddof=1), 4.0 * np.var(a, ddof=1), rtol=1e-12)
 
+    def test_site_amplitudes_are_the_noise_models(self):
+        plan = ci_plan(20240601)
+        amp = plan.noise_model.amplitude(plan.site_j, plan.site_k1, plan.site_k2)
+        assert amp.tobytes() == plan._site_amp.tobytes()
+
     def test_exact_covariance_near_limit_prediction(self, geometry, kernel,
                                                     noise_model):
         # finite-step covariance sits within a few percent of the limit value
@@ -381,6 +386,66 @@ class TestHistogram:
         hist = histogram_density_2d(rng.normal(size=(20000, 2)), bins=21)
         area = (hist.edges[0][1] - hist.edges[0][0]) * (hist.edges[1][1] - hist.edges[1][0])
         assert abs(hist.density.sum() * area - 1.0) < 1e-12
+
+
+def _reference_density(samples, bins):
+    """Reference densities built with ``np.histogram`` and ``np.histogram2d`` directly."""
+    if samples.ndim == 1:
+        counts, edges = np.histogram(samples, bins=bins, range=_default_range(samples))
+        return (edges,), counts / (counts.sum() * (edges[1] - edges[0]))
+    counts, ex, ey = np.histogram2d(samples[:, 0], samples[:, 1], bins=bins,
+                                    range=(_default_range(samples[:, 0]),
+                                           _default_range(samples[:, 1])))
+    area = (ex[1] - ex[0]) * (ey[1] - ey[0])
+    return (ex, ey), counts / (counts.sum() * area)
+
+
+@st.composite
+def histogram_samples(draw):
+    """Samples of shape (n,) or (n, 2) and a bin count.
+
+    Some samples are constant; some are small integers, which often fall on
+    bin edges; and some hold an outlier that the range clips to the mean
+    plus or minus 4.5 standard deviations.
+    """
+    kind = draw(st.sampled_from(["free", "grid", "constant", "outlier"]))
+    n = draw(st.integers(30 if kind == "outlier" else 1, 60))
+    dims = draw(st.sampled_from([1, 2]))
+    if kind == "constant":
+        samples = np.full(n * dims, draw(st.sampled_from([0.0, -3.0, 1.7, 1e6])))
+    else:
+        element = {"grid": st.integers(-8, 8).map(float),
+                   "free": st.floats(-1e3, 1e3, allow_nan=False),
+                   "outlier": st.floats(-1.0, 1.0, allow_nan=False)}[kind]
+        samples = np.array(draw(st.lists(element, min_size=n * dims, max_size=n * dims)))
+        if kind == "outlier":
+            samples[draw(st.integers(0, samples.size - 1))] = draw(st.sampled_from([-1e3, 1e3]))
+    bins = draw(st.integers(2, 17))
+    return (samples if dims == 1 else samples.reshape(n, 2)), bins
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=histogram_samples())
+def test_histogram_matches_numpy_reference(case):
+    samples, bins = case
+    hist = (histogram_density if samples.ndim == 1 else histogram_density_2d)(samples, bins)
+    edges, density = _reference_density(samples, bins)
+    assert len(hist.edges) == len(edges)
+    for got, want in zip(hist.edges, edges):
+        assert got.tobytes() == want.tobytes()
+    assert hist.density.shape == density.shape
+    assert hist.density.tobytes() == density.tobytes()
+
+
+def test_histogram_counts_values_on_edges():
+    # -8..8 on 16 bins of width 1: every value but the last lies on a left
+    # edge, and the last on the closing edge, which the last bin includes
+    samples = np.arange(-8.0, 9.0)
+    hist = histogram_density(samples, bins=16)
+    assert_allclose(hist.edges[0], np.arange(-8.0, 9.0))
+    assert_allclose(hist.density * samples.size, [1.0] * 15 + [2.0], rtol=1e-12)
+    edges, density = _reference_density(samples, 16)
+    assert hist.density.tobytes() == density.tobytes()
 
 
 class TestGaussianOnBins:
