@@ -281,10 +281,8 @@ _COMMANDS = {"predict": cmd_predict, "simulate": cmd_simulate, "check": cmd_chec
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
-        config = load_config(args.config or preset_path("paper"))
-        overrides = {key: getattr(args, key) for key in ("seed", "realizations")
-                     if getattr(args, key) is not None}
-        config = config.replace(**overrides) if overrides else config
+        config = load_config(args.config or preset_path("paper"), seed=args.seed,
+                             realizations=args.realizations)
         try:
             os.makedirs(args.out, exist_ok=True)
         except OSError as exc:

@@ -218,19 +218,6 @@ class ExperimentConfig:
         hits = np.nonzero(np.all(self.offsets == 0.0, axis=1))[0]
         return int(hits[0]) if hits.size else None
 
-    def replace(self, **overrides):
-        """Copy with some experiment fields replaced (revalidated)."""
-        data = self.to_dict()
-        for key, value in overrides.items():
-            if key == "seed":
-                data["noise"]["seed"] = value
-            elif key in ("realizations", "eps"):
-                section = "detector_step" if key == "eps" else key
-                data["experiment"][section] = value
-            else:
-                raise KeyError(f"unknown override {key!r}")
-        return from_dict(data)
-
     def to_dict(self):
         """The validated document, defaults filled in; :func:`from_dict` rebuilds ``self``."""
         return copy.deepcopy(self._document)
@@ -317,11 +304,13 @@ def _validate_admissibility(config):
         raise ConfigError(f"experiment.offsets: {exc}") from exc
 
 
-def load(path):
+def load(path, seed=None, realizations=None):
     """Load and validate a JSON configuration file.
 
-    Raises :class:`ConfigError` with the byte offset for malformed JSON and
-    with a dotted field path for schema violations.
+    ``seed`` and ``realizations``, when given, replace the document's
+    ``noise.seed`` and ``experiment.realizations`` before the one
+    :func:`from_dict` call.  Raises :class:`ConfigError` with the byte offset
+    for malformed JSON and with a dotted field path for schema violations.
     """
     with open(path, "rb") as fh:
         text = fh.read()
@@ -331,6 +320,13 @@ def load(path):
         raise ConfigError(
             f"{path}: invalid JSON at byte offset {exc.pos}: {exc.msg}"
         ) from exc
+    if seed is not None or realizations is not None:
+        # validated first, so that both sections exist to take the values
+        data = _section(data, SCHEMA)
+        if seed is not None:
+            data["noise"]["seed"] = seed
+        if realizations is not None:
+            data["experiment"]["realizations"] = realizations
     return from_dict(data)
 
 

@@ -27,28 +27,43 @@ _MUL2 = _U64(0x94D049BB133111EB)
 _TAG_SITE = _U64(0x53497445A1B2C3D4)
 _TAG_STREAM = _U64(0x5374526541226788)
 
-def _mix(h, scratch):
-    """SplitMix64 finalizer, in place on the uint64 array ``h``.
 
-    A well-avalanched bijection on 64-bit words.  ``scratch`` is a uint64
-    array of ``h``'s shape that is overwritten.
+def _first_round(h):
+    """The finalizer's first xor-shift, ``h ^ (h >> 30)``, in a fresh array.
+
+    It is linear over xor: ``_first_round(a ^ b) == _first_round(a) ^
+    _first_round(b)``.
+    """
+    return np.asarray(h ^ (h >> _U64(30)))
+
+
+def _mix_rest(h, scratch):
+    """SplitMix64 finalizer after its first xor-shift, in place on ``h``.
+
+    ``scratch`` is a uint64 array of ``h``'s shape that is overwritten.
     """
     # uint64 arithmetic wraps by design
     with np.errstate(over="ignore"):
-        for shift, factor in ((30, _MUL1), (27, _MUL2)):
+        for factor, shift in ((_MUL1, 27), (_MUL2, 31)):
+            np.multiply(h, factor, out=h)
             np.right_shift(h, _U64(shift), out=scratch)
             np.bitwise_xor(h, scratch, out=h)
-            np.multiply(h, factor, out=h)
-        np.right_shift(h, _U64(31), out=scratch)
-        np.bitwise_xor(h, scratch, out=h)
     return h
+
+
+def _mix(h):
+    """SplitMix64 finalizer of the uint64 array ``h``, in a fresh array.
+
+    A well-avalanched bijection on 64-bit words.
+    """
+    h = _first_round(h)
+    return _mix_rest(h, np.empty_like(h))
 
 
 def _absorb(h, word):
     """Fold one 64-bit word into the running hash."""
     with np.errstate(over="ignore"):
-        h = np.asarray((h + _GOLDEN) ^ word)    # a fresh array, even for scalars
-    return _mix(h, np.empty_like(h))[()]
+        return _mix((h + _GOLDEN) ^ word)[()]
 
 
 def _to_u64(values):
@@ -78,13 +93,17 @@ def uniform_into(site, stream, bits, out):
     """Write the uniforms of the keys ``site ^ stream`` into ``out``; return ``out``.
 
     ``site`` and ``stream`` broadcast to the float64 array ``out``; ``bits``
-    is a uint64 array of that shape that is overwritten.  Nothing else is
-    allocated, so a caller can hash a large table in fixed-size blocks.
+    is a uint64 array of that shape that is overwritten.  The finalizer's
+    first xor-shift is linear over xor, so it is applied to each operand
+    before they are combined; that allocates one array of each operand's
+    shape, and nothing of ``out``'s shape, so a caller can hash a large
+    table in fixed-size blocks of broadcast (site, stream) operands.
     """
-    np.bitwise_xor(site, stream, out=bits)
-    _mix(bits, out.view(_U64))
+    np.bitwise_xor(_first_round(site), _first_round(stream), out=bits)
+    _mix_rest(bits, out.view(_U64))
     np.right_shift(bits, _U64(11), out=bits)
-    np.multiply(bits, 2.0**-52, out=out)
+    # below 2^53 the int64 view converts exactly, and faster than uint64
+    np.multiply(bits.view(np.int64), 2.0**-52, out=out)
     return np.subtract(out, 1.0, out=out)
 
 

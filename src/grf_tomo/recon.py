@@ -28,8 +28,8 @@ _INDEX_BIAS = 1 << 20          # detector indices packed as 21-bit biased ints
 # output bits: each point adds its terms one after another in site order,
 # and every batch width >= 2 and every block size keeps that order.  A
 # batch works in two _SITE_BLOCK x _BATCH buffers (hash words, which then
-# hold one point's terms, and draws), 512 KB apiece, so they stay in a 2 MB
-# L2 cache.
+# hold one point's gathered draws, and draws), 512 KB apiece, so they stay
+# in a 2 MB L2 cache.
 _BATCH = 128
 _SITE_BLOCK = 512
 # sites per chunk when the plan hashes its site keys and amplitudes; each
@@ -173,19 +173,22 @@ class ReconstructionPlan:
 
     def _run_batch(self, realizations):
         if realizations.size == 1:
-            # a one-column sum would reduce pairwise; two columns keep the
-            # sequential order, and so the bits of any other batch
+            # a one-column einsum is a dot product, summed in several partial
+            # accumulators; two columns keep the sequential order, and so the
+            # bits of any other batch
             return self._run_batch(np.repeat(realizations, 2))[:1]
         streams = noise_mod.stream_keys(self.noise_model.seed, realizations)[None, :]
         width = realizations.size
         bits = np.empty((_SITE_BLOCK + 1, width), dtype=np.uint64)
         eta = np.empty((_SITE_BLOCK, width))
         # once a block's draws are made its hash words are dead, so the same
-        # buffer holds one point's terms.  Row 0 carries the point's running
-        # sum into each block's reduce; it starts at +0.0, and 0.0 + t == t
-        # unless t is -0.0, so each sum keeps the bits of its terms'
-        # sequential sum
+        # buffer holds one point's draws.  Row 0 carries the point's running
+        # sum into each block's einsum with weight 1.0; the sum starts at
+        # +0.0, and 1.0 * s == s and 0.0 + t == t unless t is -0.0, so each
+        # sum keeps the bits of its terms' sequential sum
         terms = bits.view(np.float64)
+        weight = np.empty(_SITE_BLOCK + 1)
+        weight[0] = 1.0
         acc = np.zeros((len(self.points), width))
         for block, lo in enumerate(range(0, self.n_sites, _SITE_BLOCK)):
             hi = min(lo + _SITE_BLOCK, self.n_sites)
@@ -195,13 +198,16 @@ class ReconstructionPlan:
             for l, (a, b) in enumerate(self._offsets[:, block:block + 2].tolist()):
                 if a == b:
                     continue
-                rows = terms[1:b - a + 1]
                 # indices are in range by construction; mode="raise" would
                 # copy through a temporary of the output's size
-                np.take(eta, self._term_site[a:b] - lo, axis=0, out=rows, mode="clip")
-                np.multiply(rows, self._term_weight[a:b, None], out=rows)
+                np.take(eta, self._term_site[a:b] - lo, axis=0, out=terms[1:b - a + 1],
+                        mode="clip")
                 terms[0] = acc[l]
-                np.add.reduce(terms[:b - a + 1], axis=0, out=acc[l])
+                weight[1:b - a + 1] = self._term_weight[a:b]
+                # for each column, einsum adds the weighted rows one after
+                # another in row order, rounding each product first
+                np.einsum("i,ij->j", weight[:b - a + 1], terms[:b - a + 1], out=acc[l],
+                          optimize=False)
         return self._prefactor * acc.T
 
     def reconstruct(self, realizations, threads=None):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from grf_tomo import ConeBeamGeometry, Kernel, KernelSpec, NoiseModel, ReconstructionPlan
-from grf_tomo.config import preset_path
+from grf_tomo.config import from_dict, preset_path
 
 # reference experiment layout used across the suite
 CENTER = np.array([2.7, -3.1, 0.8])
@@ -33,6 +33,21 @@ def kernel():
 @pytest.fixture(scope="session")
 def noise_model():
     return NoiseModel(eps=EPS, delta_s=DELTA_S, seed=20240601)
+
+
+# document (section, field) of each field that with_overrides can replace
+_OVERRIDES = {"seed": ("noise", "seed"), "realizations": ("experiment", "realizations"),
+              "eps": ("experiment", "detector_step")}
+
+
+def with_overrides(cfg, **fields):
+    """``cfg`` rebuilt by :func:`from_dict` from its document with some fields
+    replaced: ``seed``, ``realizations`` or ``eps`` (the detector step)."""
+    data = cfg.to_dict()
+    for key, value in fields.items():
+        section, name = _OVERRIDES[key]
+        data[section][name] = value
+    return from_dict(data)
 
 
 def write_reduced_check_config(path):

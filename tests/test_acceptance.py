@@ -41,6 +41,7 @@ from conftest import (
     detector_response,
     quad2d_response_correlation,
     reconstruct_with_field,
+    with_overrides,
 )
 
 THREADS = os.cpu_count() or 1
@@ -292,7 +293,7 @@ def test_epsilon_refinement_trend(replication_cfg, fresh_prediction):
     n = 1000
 
     def mismatch_at(eps_value):
-        cfg = replication_cfg.replace(eps=eps_value, realizations=n)
+        cfg = with_overrides(replication_cfg, eps=eps_value, realizations=n)
         stats = run_experiment(cfg, threads=THREADS)
         hist = histogram_density(stats.samples[:, 2], bins=21)
         return density_mismatch(hist.density, gaussian_on_bins(0.0, c0, hist))

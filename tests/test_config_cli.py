@@ -148,14 +148,19 @@ class TestConfigValidation:
         assert set(CHECKS) - set(again.checks) <= {"covariance_scan"}
         assert again.checks.get("covariance_scan") == data["checks"].get("covariance_scan")
 
-    def test_replace_overrides(self):
-        cfg = from_dict(base_config())
-        other = cfg.replace(seed=99, realizations=128)
+    def test_replace_overrides(self, tmp_path):
+        # --seed and --realizations: load replaces both in the document
+        path = write_config(tmp_path, base_config())
+        other = load_config(path, seed=99, realizations=128)
         assert other.seed == 99 and other.noise.seed == 99
         assert other.realizations == 128
-        assert cfg.seed == 11
+        assert other.to_dict()["noise"]["seed"] == 99
+        assert other.to_dict()["experiment"]["realizations"] == 128
+        assert load_config(path).seed == 11
+        with pytest.raises(ConfigError, match="experiment.realizations"):
+            load_config(path, realizations=0)
 
-    def test_document_keeps_every_schema_field(self, monkeypatch):
+    def test_document_keeps_every_schema_field(self, monkeypatch, tmp_path):
         # a field that only SCHEMA and from_dict know must still reach the
         # manifest and survive --seed and --realizations overrides
         monkeypatch.setitem(config.SCHEMA["prediction"].valid, "probe",
@@ -164,7 +169,8 @@ class TestConfigValidation:
         data["prediction"] = {"probe": 7}
         cfg = from_dict(data)
         assert cfg.to_dict()["prediction"] == {"panels": 2000, "tolerance": 1e-4, "probe": 7}
-        assert cfg.replace(seed=3).to_dict()["prediction"]["probe"] == 7
+        path = write_config(tmp_path, data)
+        assert load_config(path, seed=3).to_dict()["prediction"]["probe"] == 7
         # the copy is the caller's own
         cfg.to_dict()["prediction"]["probe"] = 8
         assert cfg.to_dict()["prediction"]["probe"] == 7
@@ -426,6 +432,19 @@ class TestCli:
                                 capture_output=True, text=True, timeout=120)
         assert result.returncode == 0, result.stderr
         assert json.loads(result.stdout.splitlines()[-1]) == [0, []]
+
+    def test_overrides_warn_once(self, tmp_path):
+        # --seed and --realizations edit the document before its one
+        # from_dict, so the preset's smoothness warning prints once
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONWARNINGS"}
+        env["PYTHONPATH"] = SRC
+        result = subprocess.run(
+            [sys.executable, "-m", "grf_tomo.cli", "simulate", "--config", str(preset_path("ci")),
+             "--seed", "3", "--realizations", "8", "--threads", "1",
+             "--out", str(tmp_path / "out")],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert result.returncode == 0, result.stderr
+        assert result.stderr.count("kernel.exponent: smoothness") == 1, result.stderr
 
     def test_console_script_version(self):
         result = subprocess.run([sys.executable, "-m", "grf_tomo.cli", "--version"],

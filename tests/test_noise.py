@@ -76,6 +76,41 @@ class TestDeterminism:
         assert a != b
 
 
+def splitmix64_finalizer(word):
+    """The SplitMix64 finalizer on one Python int, as published."""
+    mask = 2**64 - 1
+    word ^= word >> 30
+    word = word * 0xBF58476D1CE4E5B9 & mask
+    word ^= word >> 27
+    word = word * 0x94D049BB133111EB & mask
+    return word ^ word >> 31
+
+
+class TestUniformInto:
+    def keys(self, shape):
+        rng = np.random.default_rng(3)
+        site, stream = (rng.integers(0, 2**64, size=shape, dtype=np.uint64) for _ in range(2))
+        site.flat[:4] = [0, 2**64 - 1, 2**63, 2**53]
+        return site, stream
+
+    def test_mix_is_the_splitmix64_finalizer(self):
+        words = self.keys((2, 8))[0].ravel()
+        assert noise._mix(words).tolist() == [splitmix64_finalizer(int(w)) for w in words]
+
+    def test_full_shape_keys_match_unsplit_mix(self):
+        # uniform_into applies the finalizer's first xor-shift to each operand
+        # and converts through an int64 view.  On keys of the output's full
+        # shape (no broadcast operand) and on broadcast ones alike, that must
+        # equal the whole finalizer on site ^ stream with numpy's uint64 to
+        # float64 conversion, bit for bit
+        shape = (64, 96)
+        site, stream = self.keys(shape)
+        for a, b in ((site, stream), (site[:, :1], stream[:1])):
+            expected = (noise._mix(a ^ b) >> np.uint64(11)).astype(np.float64) * 2.0**-52 - 1.0
+            out = noise.uniform_into(a, b, np.empty(shape, np.uint64), np.empty(shape))
+            assert out.tobytes() == expected.tobytes()
+
+
 class TestMoments:
     N = 10**6
 

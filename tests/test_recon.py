@@ -29,6 +29,7 @@ from conftest import (
     detector_response,
     reconstruct_point,
     reconstruct_with_field,
+    with_overrides,
 )
 
 
@@ -40,7 +41,7 @@ def load_preset(name):
 
 def ci_plan(seed):
     """Reconstruction plan for the ``ci.json`` points at the given seed."""
-    cfg = load_preset("ci").replace(seed=seed)
+    cfg = with_overrides(load_preset("ci"), seed=seed)
     points = cfg.center + cfg.eps * cfg.offsets
     return ReconstructionPlan(cfg.geometry, cfg.kernel, cfg.noise, points)
 
@@ -334,6 +335,35 @@ def test_plan_invariance(margin_plans, margin, threads, subset):
     plans, reference = margin_plans
     out = plans[margin].reconstruct(subset, threads=threads)
     assert np.array_equal(out, reference[subset])
+
+
+@settings(max_examples=100, deadline=None)
+@given(width=st.sampled_from([2, 3, 128]), rows=st.integers(1, 600),
+       zeros=st.sampled_from([0.0, 0.1, 0.5]), seed=st.integers(0, 2**32 - 1))
+def test_einsum_term_sum_is_sequential(width, rows, zeros, seed):
+    # the batch kernel sums a point's terms with einsum("i,ij->j") of the
+    # weights [1.0, *w] against [running sum; draws].  Its bits rest on numpy
+    # rounding each product and adding the products of a column one after
+    # another in row order; an einsum that fuses multiply-adds or sums in
+    # partial accumulators fails here
+    rng = np.random.default_rng(seed)
+
+    def values(shape, negative_zeros=True):
+        out = rng.choice([-1.0, 1.0], size=shape) * 10.0 ** rng.uniform(-8.0, 8.0, size=shape)
+        zero = rng.random(shape) < zeros
+        negative = negative_zeros & (rng.random(shape) < 0.5)
+        out[zero] = np.where(negative, -0.0, 0.0)[zero]
+        return out
+
+    carry = values(width, negative_zeros=False)     # a sum begun at +0.0 is never -0.0
+    weight = np.concatenate([[1.0], values(rows)])
+    terms = np.vstack([carry, values((rows, width))])
+    out = np.empty(width)
+    np.einsum("i,ij->j", weight, terms, out=out, optimize=False)
+    expected = carry
+    for w, row in zip(weight[1:], terms[1:]):
+        expected = expected + w * row
+    assert out.tobytes() == expected.tobytes()
 
 
 class TestStreamingMoments:
