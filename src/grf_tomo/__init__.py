@@ -34,12 +34,10 @@ from .noise import NoiseModel, modulation_field, variance_field
 from .recon import (
     HistogramDensity,
     ReconstructionPlan,
-    SampleStats,
     density_mismatch,
     gaussian_on_bins,
     histogram_density,
     histogram_density_2d,
-    run_experiment,
 )
 
 __version__ = "0.1.0"
@@ -57,7 +55,6 @@ __all__ = [
     "QuadratureConvergenceError",
     "Radon2DGeometry",
     "ReconstructionPlan",
-    "SampleStats",
     "WeylDecayResult",
     "ZeroSetReport",
     "degeneracy_tolerance_scan",
@@ -71,7 +68,6 @@ __all__ = [
     "histogram_density_2d",
     "load_config",
     "modulation_field",
-    "run_experiment",
     "variance_field",
     "weyl_decay_table",
     "weyl_sum",

@@ -21,7 +21,6 @@ import numpy as np
 
 from .kernel import _sorted_unique
 
-TWO_PI = 2.0 * np.pi
 # a Hessian scan whose second differences (for a unit direction) all stay at
 # or below this is reported degenerate: the Hessian vanishes identically
 _DEGENERATE_TOL = 1e-9

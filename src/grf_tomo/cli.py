@@ -29,11 +29,11 @@ from .covariance import CovariancePredictor, QuadratureConvergenceError
 from .geometry import DegenerateProjectionError, Radon2DGeometry
 from .kernel import Kernel
 from .recon import (
+    ReconstructionPlan,
     density_mismatch,
     gaussian_on_bins,
     histogram_density,
-    histogram_density_2d,
-    run_experiment,
+    streaming_moments,
 )
 
 EXIT_OK = 0
@@ -98,59 +98,52 @@ def cmd_simulate(config, threads):
     # the worker buffers exist, and a quadrature that does not converge
     # fails before any Monte Carlo runs
     _, predicted = _prediction(config)
-    stats = run_experiment(config, threads=threads)
-    files = {}
-    histograms = {}
-    pdf_mismatch_1d = []
-    for k in range(stats.offsets.shape[0]):
-        hist = histogram_density(stats.samples[:, k], config.bins)
-        pdf = gaussian_on_bins(0.0, predicted[k, k], hist)
-        pdf_mismatch_1d.append(density_mismatch(hist.density, pdf))
-        histograms[f"offset_{k}"] = {
-            "edges": hist.edges[0].tolist(),
-            "observed_density": hist.density.tolist(),
-            "predicted_density": pdf.tolist(),
-        }
-        files[f"hist1d_{k}.csv"] = (["bin_center", "observed_density", "predicted_density"],
-                                    list(zip(hist.centers[0], hist.density, pdf)))
+    plan = ReconstructionPlan(config.geometry, config.kernel, config.noise, config.points)
+    samples = plan.reconstruct(np.arange(config.realizations), threads=threads)
+    del plan  # its tables are not kept while the histograms are built
+    count, mean, com = streaming_moments(samples)
+    covariance = com / (count - 1)
 
-    mismatch_2d = None
-    if stats.offsets.shape[0] >= 2:
-        hist2 = histogram_density_2d(stats.samples[:, :2], config.bins)
-        pdf2 = gaussian_on_bins(np.zeros(2), predicted[:2, :2], hist2)
-        mismatch_2d = density_mismatch(hist2.density, pdf2)
-        histograms["first_pair"] = {
-            "edges": [e.tolist() for e in hist2.edges],
-            "observed_density": hist2.density.tolist(),
-            "predicted_density": pdf2.tolist(),
-        }
-        cx, cy = hist2.centers
-        files["hist2d.csv"] = (["bin_center_1", "bin_center_2",
-                                "observed_density", "predicted_density"],
-                               [(cx[i], cy[j], hist2.density[i, j], pdf2[i, j])
-                                for i, j in np.ndindex(pdf2.shape)])
+    # each offset's 1-D marginal, then the first pair's 2-D marginal
+    n_offsets = len(config.offsets)
+    marginals = [([k], f"offset_{k}", f"hist1d_{k}.csv") for k in range(n_offsets)]
+    if n_offsets >= 2:
+        marginals.append(([0, 1], "first_pair", "hist2d.csv"))
+    files, histograms, mismatch = {}, {}, {}
+    for cols, name, file_name in marginals:
+        hist = histogram_density(samples[:, cols], config.bins)
+        pdf = gaussian_on_bins(np.zeros(len(cols)), predicted[np.ix_(cols, cols)], hist)
+        mismatch[name] = density_mismatch(hist.density, pdf)
+        edges = [e.tolist() for e in hist.edges]
+        histograms[name] = {"edges": edges if len(cols) > 1 else edges[0],
+                            "observed_density": hist.density.tolist(),
+                            "predicted_density": pdf.tolist()}
+        axes = ["bin_center"] if len(cols) == 1 else [f"bin_center_{a}" for a in (1, 2)]
+        files[file_name] = (axes + ["observed_density", "predicted_density"],
+                            [(*(c[i] for c, i in zip(hist.centers, cell)),
+                              hist.density[cell], pdf[cell]) for cell in np.ndindex(pdf.shape)])
 
     pair = predicted[:2, :2]
-    pair_mismatch = float(np.sum(np.abs(stats.covariance[:2, :2] - pair)) / np.sum(np.abs(pair)))
+    pair_mismatch = float(np.sum(np.abs(covariance[:2, :2] - pair)) / np.sum(np.abs(pair)))
 
     zero_idx = config.zero_offset_index
     metrics = {
-        "realizations": stats.n_realizations,
+        "realizations": count,
         "covariance_mismatch_first_pair": pair_mismatch,
-        "pdf_mismatch_1d": pdf_mismatch_1d,
-        "pdf_mismatch_2d": mismatch_2d,
+        "pdf_mismatch_1d": [mismatch[f"offset_{k}"] for k in range(n_offsets)],
+        "pdf_mismatch_2d": mismatch.get("first_pair"),
         "zero_offset_index": zero_idx,
     }
     if zero_idx is not None:
-        metrics["variance_at_center"] = stats.variance[zero_idx]
+        metrics["variance_at_center"] = covariance[zero_idx, zero_idx]
         metrics["predicted_variance"] = predicted[zero_idx, zero_idx]
 
     files["stats.json"] = {
-        "offsets": stats.offsets.tolist(),
-        "n_realizations": stats.n_realizations,
-        "sample_mean": stats.mean.tolist(),
-        "sample_variance": stats.variance.tolist(),
-        "sample_covariance": stats.covariance.tolist(),
+        "offsets": config.offsets.tolist(),
+        "n_realizations": count,
+        "sample_mean": mean.tolist(),
+        "sample_variance": np.diag(covariance).tolist(),
+        "sample_covariance": covariance.tolist(),
         "predicted_covariance": predicted.tolist(),
         "histograms": histograms,
         "metrics": metrics,

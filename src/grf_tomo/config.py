@@ -26,6 +26,8 @@ from .noise import NoiseModel
 # smaller exponents still run (and match the reference experiment) but get
 # a warning.
 REQUIRED_SMOOTHNESS = 5
+# warning registries of the smoothness warnings that name a loaded file
+_FILE_WARNINGS = {}
 
 
 class ConfigError(ValueError):
@@ -213,6 +215,11 @@ class ExperimentConfig:
         return TWO_PI / self.n_views
 
     @property
+    def points(self):
+        """Evaluation points, one row per offset: ``center + eps * offsets``."""
+        return self.center + self.eps * self.offsets
+
+    @property
     def zero_offset_index(self):
         """Index of the first all-zero offset, or ``None``."""
         hits = np.nonzero(np.all(self.offsets == 0.0, axis=1))[0]
@@ -252,16 +259,21 @@ def _section(data, schema, path="", doc=None):
     return out
 
 
-def from_dict(data):
-    """Build a validated :class:`ExperimentConfig` from plain dictionaries."""
+def from_dict(data, source=None):
+    """Build a validated :class:`ExperimentConfig` from plain dictionaries; the smoothness
+    warning names ``source``, a ``(filename, lineno)`` pair, or else the caller."""
     data = _section(data, SCHEMA)
     geo, ker, exp, pred = (data[k] for k in ("geometry", "kernel", "experiment", "prediction"))
     kernel = KernelSpec(half_width=float(ker["half_width"]), exponent=ker["exponent"])
     if kernel.smoothness <= REQUIRED_SMOOTHNESS:
-        warnings.warn(f"kernel.exponent: smoothness {kernel.smoothness} does not exceed the "
-                      f"{REQUIRED_SMOOTHNESS} continuous derivatives the limit theory asks "
-                      "for; results follow the reference experiment anyway", UserWarning,
-                      stacklevel=2)
+        message = (f"kernel.exponent: smoothness {kernel.smoothness} does not exceed the "
+                   f"{REQUIRED_SMOOTHNESS} continuous derivatives the limit theory asks "
+                   "for; results follow the reference experiment anyway")
+        if source is None:
+            warnings.warn(message, UserWarning, stacklevel=2)
+        else:  # one registry per file, so that each file's warning prints once
+            warnings.warn_explicit(message, UserWarning, *source,
+                                   registry=_FILE_WARNINGS.setdefault(source[0], {}))
     n_views = exp["n_views"]
     eps, seed = float(exp["detector_step"]), data["noise"]["seed"]
     config = ExperimentConfig(
@@ -293,8 +305,8 @@ def from_dict(data):
 
 
 def _validate_admissibility(config):
-    # point 0 is the center, point k the center plus offset k - 1
-    points = np.vstack([config.center, config.center + config.eps * config.offsets])
+    # point 0 is the center, point k the evaluation point of offset k - 1
+    points = np.vstack([config.center, config.points])
     s = np.arange(config.n_views) * config.delta_s
     try:
         config.geometry.check_admissible(points)
@@ -327,7 +339,9 @@ def load(path, seed=None, realizations=None):
             data["noise"]["seed"] = seed
         if realizations is not None:
             data["experiment"]["realizations"] = realizations
-    return from_dict(data)
+    # the smoothness warning names the file's kernel.exponent line
+    line = text[:max(text.find(b'"exponent"'), 0)].count(b"\n") + 1
+    return from_dict(data, source=(str(path), line))
 
 
 def preset_path(name):

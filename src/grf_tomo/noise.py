@@ -84,8 +84,7 @@ def site_keys(j, k1, k2):
 
 def stream_keys(seed, realization):
     """Hash per ``(seed, realization)`` pair."""
-    h = _absorb(np.broadcast_to(_TAG_STREAM, np.shape(realization)).copy()
-                if np.ndim(realization) else _TAG_STREAM, _U64(seed))
+    h = _absorb(np.broadcast_to(_TAG_STREAM, np.shape(realization)).copy(), _U64(seed))
     return _absorb(h, _to_u64(realization))
 
 

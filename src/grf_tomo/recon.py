@@ -247,31 +247,13 @@ class ReconstructionPlan:
         return out
 
 
-
 # ---------------------------------------------------------------------------
 # sample statistics
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class SampleStats:
-    """Monte-Carlo statistics over realizations at a set of offsets.
-
-    ``samples`` has shape (n_realizations, L); ``covariance`` is the unbiased
-    sample covariance.  Moments are accumulated by merging fixed-size chunks
-    in realization-index order, so they are reproducible bit-for-bit.
-    """
-
-    offsets: np.ndarray
-    n_realizations: int
-    mean: np.ndarray
-    variance: np.ndarray
-    covariance: np.ndarray
-    samples: np.ndarray
-
-
 def streaming_moments(samples, chunk=1024):
-    """Mean and comoment matrix via ordered pairwise chunk merging."""
+    """Count, mean and comoment matrix of rows ``(n, L)``, merged chunk by chunk in row order."""
     samples = np.asarray(samples, dtype=float)
     n_total, width = samples.shape
     count = 0
@@ -292,32 +274,6 @@ def streaming_moments(samples, chunk=1024):
             mean = mean + delta * (nb / tot)
             count = tot
     return count, mean, com
-
-
-def run_experiment(config, threads=None):
-    """Monte-Carlo reconstruction statistics for an experiment configuration.
-
-    ``config`` must provide ``geometry``, ``kernel``, ``noise``, ``center``,
-    ``offsets``, ``eps`` and ``realizations``.  Returns :class:`SampleStats`;
-    output is deterministic given the configuration and seed at any thread
-    count.
-    """
-    if config.realizations < 2:
-        raise ValueError("need at least 2 realizations for sample variances")
-    points = np.asarray(config.center, dtype=float) \
-        + config.eps * np.atleast_2d(np.asarray(config.offsets, dtype=float))
-    plan = ReconstructionPlan(config.geometry, config.kernel, config.noise, points)
-    samples = plan.reconstruct(np.arange(config.realizations), threads=threads)
-    count, mean, com = streaming_moments(samples)
-    cov = com / (count - 1)
-    return SampleStats(
-        offsets=np.atleast_2d(np.asarray(config.offsets, dtype=float)),
-        n_realizations=count,
-        mean=mean,
-        variance=np.diag(cov).copy(),
-        covariance=cov,
-        samples=samples,
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,6 @@ from grf_tomo import (
     histogram_density,
     histogram_density_2d,
     load_config,
-    run_experiment,
     weyl_decay_table,
 )
 from grf_tomo import kernel as kernel_mod
@@ -71,19 +70,28 @@ def fresh_prediction(replication_cfg):
     return predictor, variance, elapsed
 
 
+def reconstruct(cfg):
+    """Monte-Carlo samples, one row per realization and one column per offset."""
+    plan = ReconstructionPlan(cfg.geometry, cfg.kernel, cfg.noise, cfg.points)
+    return plan.reconstruct(np.arange(cfg.realizations), threads=THREADS)
+
+
+def timed_run(cfg):
+    """The samples, their unbiased sample covariance and the seconds both took."""
+    start = time.perf_counter()
+    samples = reconstruct(cfg)
+    count, _, com = streaming_moments(samples)
+    return samples, com / (count - 1), time.perf_counter() - start
+
+
 @pytest.fixture(scope="module")
 def replication_run(replication_cfg):
-    start = time.perf_counter()
-    stats = run_experiment(replication_cfg, threads=THREADS)
-    return stats, time.perf_counter() - start
+    return timed_run(replication_cfg)
 
 
 @pytest.fixture(scope="module")
 def ci_run():
-    cfg = load_config(preset_path("ci"))
-    start = time.perf_counter()
-    stats = run_experiment(cfg, threads=THREADS)
-    return stats, time.perf_counter() - start
+    return timed_run(load_config(preset_path("ci")))
 
 
 def test_criterion_1_predicted_variance(fresh_prediction):
@@ -101,25 +109,26 @@ def test_criterion_2_predicted_cross_covariance(fresh_prediction):
 
 
 def test_criterion_3_monte_carlo_variance(replication_run, ci_run):
-    stats, elapsed = replication_run
-    variance = stats.variance[2]          # zero offset is third in the preset
+    _, covariance, elapsed = replication_run
+    variance = covariance[2, 2]           # zero offset is third in the preset
     rel = abs(variance / 0.485 - 1.0)
-    ci_stats, ci_elapsed = ci_run
-    ci_rel = abs(ci_stats.variance[2] / 0.485 - 1.0)
+    _, ci_covariance, ci_elapsed = ci_run
+    ci_variance = ci_covariance[2, 2]
+    ci_rel = abs(ci_variance / 0.485 - 1.0)
     ok = (rel <= 0.03 and elapsed < 900.0
           and ci_rel <= 0.08 and ci_elapsed < 60.0)
     report(3, ok,
            f"sample variance {variance:.4f} at 2e4 realizations "
            f"({100 * rel:.2f}% from 0.485, {elapsed:.0f}s); "
-           f"CI preset {ci_stats.variance[2]:.4f} "
+           f"CI preset {ci_variance:.4f} "
            f"({100 * ci_rel:.2f}%, {ci_elapsed:.1f}s)")
 
 
 def test_criterion_4_covariance_matrix_mismatch(replication_run, fresh_prediction):
-    stats, _ = replication_run
+    _, covariance, _ = replication_run
     predictor = fresh_prediction[0]
     predicted = predictor.covariance_matrix([OFFSET_A, OFFSET_B])
-    observed = stats.covariance[:2, :2]
+    observed = covariance[:2, :2]
     mismatch = np.sum(np.abs(observed - predicted)) / np.sum(np.abs(predicted))
     ok = mismatch <= 0.06
     report(4, ok, f"covariance l1 mismatch {mismatch:.4f} (<= 0.06); "
@@ -128,16 +137,16 @@ def test_criterion_4_covariance_matrix_mismatch(replication_run, fresh_predictio
 
 
 def test_criterion_5_pdf_mismatches(replication_run, fresh_prediction):
-    stats, _ = replication_run
+    samples = replication_run[0]
     predictor = fresh_prediction[0]
     c0 = predictor.variance()
 
-    hist1 = histogram_density(stats.samples[:, 2], bins=21)
+    hist1 = histogram_density(samples[:, 2], bins=21)
     pdf1 = gaussian_on_bins(0.0, c0, hist1)
     mismatch1 = density_mismatch(hist1.density, pdf1)
 
     predicted = predictor.covariance_matrix([OFFSET_A, OFFSET_B])
-    hist2 = histogram_density_2d(stats.samples[:, :2], bins=21)
+    hist2 = histogram_density_2d(samples[:, :2], bins=21)
     pdf2 = gaussian_on_bins(np.zeros(2), predicted, hist2)
     mismatch2 = density_mismatch(hist2.density, pdf2)
 
@@ -294,8 +303,7 @@ def test_epsilon_refinement_trend(replication_cfg, fresh_prediction):
 
     def mismatch_at(eps_value):
         cfg = with_overrides(replication_cfg, eps=eps_value, realizations=n)
-        stats = run_experiment(cfg, threads=THREADS)
-        hist = histogram_density(stats.samples[:, 2], bins=21)
+        hist = histogram_density(reconstruct(cfg)[:, 2], bins=21)
         return density_mismatch(hist.density, gaussian_on_bins(0.0, c0, hist))
 
     coarse = mismatch_at(EPS)
@@ -311,7 +319,7 @@ def test_epsilon_refinement_trend(replication_cfg, fresh_prediction):
 def test_monte_carlo_converges_toward_prediction(replication_run, fresh_prediction):
     # the covariance mismatch must shrink as realizations grow (1e3 vs 2e4);
     # the first 10^3 realizations of the shared run are exactly the 10^3 run
-    stats, _ = replication_run
+    samples = replication_run[0]
     predictor = fresh_prediction[0]
     predicted = predictor.covariance_matrix([OFFSET_A, OFFSET_B])
 
@@ -320,8 +328,8 @@ def test_monte_carlo_converges_toward_prediction(replication_run, fresh_predicti
         observed = (com / (count - 1))[:2, :2]
         return np.sum(np.abs(observed - predicted)) / np.sum(np.abs(predicted))
 
-    small = mismatch(stats.samples[:1000])
-    big = mismatch(stats.samples)
+    small = mismatch(samples[:1000])
+    big = mismatch(samples)
     ok = big < small
     report("convergence", ok,
            f"covariance mismatch {small:.4f} at 1e3 -> {big:.4f} at 2e4")

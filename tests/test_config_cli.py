@@ -134,7 +134,8 @@ class TestConfigValidation:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             from_dict(base_config())
-        assert any("smoothness" in str(w.message) for w in caught)
+        # a direct call names its caller
+        assert [w.filename for w in caught if "smoothness" in str(w.message)] == [__file__]
 
     @settings(deadline=None, max_examples=60,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -287,13 +288,19 @@ class TestCli:
                          "--out", str(tmp_path / "n")]) == 3
 
     def test_numerical_error_writes_no_file(self, tmp_path, monkeypatch):
-        def histogram_density_2d(*args, **kwargs):
-            raise ValueError("planted after the 1-D histograms")
+        dimensions = []
 
-        monkeypatch.setattr(cli, "histogram_density_2d", histogram_density_2d)
+        def gaussian_on_bins(mean, cov, histogram, original=cli.gaussian_on_bins):
+            dimensions.append(histogram.ndim)
+            if histogram.ndim == 2:
+                raise ValueError("planted after the 1-D histograms")
+            return original(mean, cov, histogram)
+
+        monkeypatch.setattr(cli, "gaussian_on_bins", gaussian_on_bins)
         out = tmp_path / "n"
         assert cli.main(["simulate", "--config", str(preset_path("ci")), "--out", str(out),
                          "--realizations", "64"]) == 3
+        assert dimensions == [1, 1, 1, 2]
         assert list(out.iterdir()) == []
 
     def test_assert_mode_exit_codes(self, tmp_path, capsys):
@@ -446,6 +453,24 @@ class TestCli:
         assert result.returncode == 0, result.stderr
         assert result.stderr.count("kernel.exponent: smoothness") == 1, result.stderr
 
+    def test_smoothness_warning_names_config_file(self, tmp_path):
+        # the location printed is the loaded document's kernel.exponent
+        # line, not a line of the library
+        path = tmp_path / "ci.json"
+        path.write_bytes(preset_path("ci").read_bytes())
+        line = next(n for n, text in enumerate(path.read_text().splitlines(), 1)
+                    if '"exponent"' in text)
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONWARNINGS"}
+        env["PYTHONPATH"] = SRC
+        result = subprocess.run(
+            [sys.executable, "-m", "grf_tomo.cli", "predict", "--config", str(path),
+             "--out", str(tmp_path / "out")],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert result.returncode == 0, result.stderr
+        assert result.stderr.startswith(
+            f"{path}:{line}: UserWarning: kernel.exponent: smoothness"), result.stderr
+        assert "grf_tomo" not in result.stderr, result.stderr
+
     def test_console_script_version(self):
         result = subprocess.run([sys.executable, "-m", "grf_tomo.cli", "--version"],
                                 env=dict(os.environ, PYTHONPATH=SRC),
@@ -472,6 +497,39 @@ def test_golden_simulate_digests(tmp_path):
                for name in GOLDEN_SIMULATE}
     assert digests == GOLDEN_SIMULATE
     assert_manifest_lists_outputs(tmp_path)
+
+
+# sha256 of the simulate outputs for ci.json with a single offset and no
+# assertions, at --realizations 256 --threads 2: no pair, so no hist2d.csv
+GOLDEN_SIMULATE_SINGLE = {
+    (0.0, 0.0, 0.0): {
+        "stats.json": "3353640a13c021eecdd34ce4ae04e378a93e9f208b5c8434adc8ddbf903578d0",
+        "hist1d_0.csv": "9c66f70b912384f24cf3e791f6319677077a673047b020e68093477514a28ed8",
+    },
+    (2.546, -2.974, 0.983): {
+        "stats.json": "b99ec816fbd94c98a0adbc116ef0f0da6d3e204295f404aee59976137c878c64",
+        "hist1d_0.csv": "09ff01b7cb879412cb89df1e236d90a80908b406c9da57931bc821a915d384c8",
+    },
+}
+
+
+@pytest.mark.parametrize("offset", list(GOLDEN_SIMULATE_SINGLE), ids=["zero", "nonzero"])
+def test_golden_simulate_single_offset(tmp_path, offset):
+    with open(preset_path("ci")) as fh:
+        data = json.load(fh)
+    data["experiment"]["offsets"] = [list(offset)]
+    del data["assertions"]
+    out = tmp_path / "out"
+    assert cli.main(["simulate", "--config", write_config(tmp_path, data), "--out", str(out),
+                     "--realizations", "256", "--threads", "2"]) == 0
+    golden = GOLDEN_SIMULATE_SINGLE[offset]
+    assert sorted(p.name for p in out.iterdir()) == sorted([*golden, "manifest.json"])
+    assert {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+            for name in golden} == golden
+    metrics = json.loads((out / "stats.json").read_text())["metrics"]
+    assert metrics["pdf_mismatch_2d"] is None
+    assert metrics["zero_offset_index"] == (0 if not any(offset) else None)
+    assert_manifest_lists_outputs(out)
 
 
 # sha256 of the predict outputs for ci.json with a covariance scan added,

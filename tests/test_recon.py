@@ -284,17 +284,6 @@ class TestPlan:
         with pytest.raises(IndexError):
             plan.reconstruct([-1])
 
-    def test_single_realization_rejected_for_statistics(self, geometry, kernel,
-                                                        noise_model):
-        from grf_tomo import run_experiment
-        from types import SimpleNamespace
-
-        cfg = SimpleNamespace(geometry=geometry, kernel=kernel, noise=noise_model,
-                              center=CENTER, offsets=np.zeros((1, 3)),
-                              eps=EPS, realizations=1)
-        with pytest.raises(ValueError, match="at least 2"):
-            run_experiment(cfg)
-
     def test_sample_mean_near_zero(self, geometry, kernel, noise_model):
         plan = ReconstructionPlan(geometry, kernel, noise_model, [CENTER])
         samples = plan.reconstruct(np.arange(4000), threads=4)[:, 0]
