@@ -119,8 +119,9 @@ def cmd_simulate(config, threads):
                             "observed_density": hist.density.tolist(),
                             "predicted_density": pdf.tolist()}
         axes = ["bin_center"] if len(cols) == 1 else [f"bin_center_{a}" for a in (1, 2)]
+        centers = hist.centers
         files[file_name] = (axes + ["observed_density", "predicted_density"],
-                            [(*(c[i] for c, i in zip(hist.centers, cell)),
+                            [(*(c[i] for c, i in zip(centers, cell)),
                               hist.density[cell], pdf[cell]) for cell in np.ndindex(pdf.shape)])
 
     pair = predicted[:2, :2]

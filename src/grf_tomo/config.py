@@ -211,10 +211,6 @@ class ExperimentConfig:
     _document: dict = field(repr=False)
 
     @property
-    def delta_s(self):
-        return TWO_PI / self.n_views
-
-    @property
     def points(self):
         """Evaluation points, one row per offset: ``center + eps * offsets``."""
         return self.center + self.eps * self.offsets
@@ -307,7 +303,7 @@ def from_dict(data, source=None):
 def _validate_admissibility(config):
     # point 0 is the center, point k the evaluation point of offset k - 1
     points = np.vstack([config.center, config.points])
-    s = np.arange(config.n_views) * config.delta_s
+    s = np.arange(config.n_views) * config.noise.delta_s
     try:
         config.geometry.check_admissible(points)
         # every view must keep the projection denominator above its floor

@@ -28,11 +28,11 @@ _TAG_SITE = _U64(0x53497445A1B2C3D4)
 _TAG_STREAM = _U64(0x5374526541226788)
 
 
-def _first_round(h):
+def first_round(h):
     """The finalizer's first xor-shift, ``h ^ (h >> 30)``, in a fresh array.
 
-    It is linear over xor: ``_first_round(a ^ b) == _first_round(a) ^
-    _first_round(b)``.
+    It is linear over xor: ``first_round(a ^ b) == first_round(a) ^
+    first_round(b)``.
     """
     return np.asarray(h ^ (h >> _U64(30)))
 
@@ -42,12 +42,12 @@ def _mix_rest(h, scratch):
 
     ``scratch`` is a uint64 array of ``h``'s shape that is overwritten.
     """
-    # uint64 arithmetic wraps by design
-    with np.errstate(over="ignore"):
-        for factor, shift in ((_MUL1, 27), (_MUL2, 31)):
-            np.multiply(h, factor, out=h)
-            np.right_shift(h, _U64(shift), out=scratch)
-            np.bitwise_xor(h, scratch, out=h)
+    # uint64 products wrap by design; ufuncs on arrays, 0-d ones included,
+    # never check integer overflow, so no errstate is needed here
+    for factor, shift in ((_MUL1, 27), (_MUL2, 31)):
+        np.multiply(h, factor, out=h)
+        np.right_shift(h, _U64(shift), out=scratch)
+        np.bitwise_xor(h, scratch, out=h)
     return h
 
 
@@ -56,7 +56,7 @@ def _mix(h):
 
     A well-avalanched bijection on 64-bit words.
     """
-    h = _first_round(h)
+    h = first_round(h)
     return _mix_rest(h, np.empty_like(h))
 
 
@@ -88,22 +88,40 @@ def stream_keys(seed, realization):
     return _absorb(h, _to_u64(realization))
 
 
+def scaled_draws_into(site_round, stream_round, scale, bits, out):
+    """Write ``scale * (u - 2^52)`` into ``out`` and return ``out``.
+
+    ``u`` is the top 53 bits of the finalizer of ``site ^ stream``, whose
+    keys arrive after :func:`first_round`: that xor-shift is linear over
+    xor, so each operand is rounded once, before they are combined.
+    ``site_round``, ``stream_round`` and ``scale`` broadcast to the float64
+    array ``out``; ``bits`` is a uint64 array of its shape that is
+    overwritten.  ``u - 2^52`` converts to float64 exactly, so with
+    ``scale = amp * 2^-52`` the result equals ``(u * 2^-52 - 1) * amp`` bit
+    for bit: both scalings by 2^-52 are exact while ``amp * 2^-52`` stays
+    normal, that is for ``|amp| >= 2^-970`` (about 1e-292).
+    """
+    np.bitwise_xor(site_round, stream_round, out=bits)
+    _mix_rest(bits, out.view(_U64))
+    np.right_shift(bits, _U64(11), out=bits)
+    ints = bits.view(np.int64)
+    np.subtract(ints, 2**52, out=ints)
+    # below 2^53 the int64 view converts exactly, and faster than uint64.
+    # A plain cast and then a float multiply beat one int64-by-float64
+    # multiply, whose buffered cast is slow against a broadcast scale
+    out[...] = ints
+    return np.multiply(out, scale, out=out)
+
+
 def uniform_into(site, stream, bits, out):
     """Write the uniforms of the keys ``site ^ stream`` into ``out``; return ``out``.
 
     ``site`` and ``stream`` broadcast to the float64 array ``out``; ``bits``
-    is a uint64 array of that shape that is overwritten.  The finalizer's
-    first xor-shift is linear over xor, so it is applied to each operand
-    before they are combined; that allocates one array of each operand's
-    shape, and nothing of ``out``'s shape, so a caller can hash a large
-    table in fixed-size blocks of broadcast (site, stream) operands.
+    is a uint64 array of that shape that is overwritten.  Each operand is
+    rounded apart (see :func:`scaled_draws_into`), which allocates one array
+    of each operand's shape and nothing of ``out``'s shape.
     """
-    np.bitwise_xor(_first_round(site), _first_round(stream), out=bits)
-    _mix_rest(bits, out.view(_U64))
-    np.right_shift(bits, _U64(11), out=bits)
-    # below 2^53 the int64 view converts exactly, and faster than uint64
-    np.multiply(bits.view(np.int64), 2.0**-52, out=out)
-    return np.subtract(out, 1.0, out=out)
+    return scaled_draws_into(first_round(site), first_round(stream), 2.0**-52, bits, out)
 
 
 def uniform_from_keys(site, stream):

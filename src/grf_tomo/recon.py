@@ -16,6 +16,7 @@ evaluation-point set, the detector-window margins, and the thread count.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,9 +28,11 @@ _INDEX_BIAS = 1 << 20          # detector indices packed as 21-bit biased ints
 # Realizations per batch and sites per hashing block.  Neither fixes the
 # output bits: each point adds its terms one after another in site order,
 # and every batch width >= 2 and every block size keeps that order.  A
-# batch works in two _SITE_BLOCK x _BATCH buffers (hash words, which then
-# hold one point's gathered draws, and draws), 512 KB apiece, so they stay
-# in a 2 MB L2 cache.
+# worker has two buffers of about _SITE_BLOCK x _BATCH words, 512 KB
+# apiece, so they stay in a 2 MB L2 cache: one for a block's hash words,
+# which then hold one segment's gathered terms, and one for the block's
+# draws and the points' running sums.  A plan reads _SITE_BLOCK when it is
+# built.
 _BATCH = 128
 _SITE_BLOCK = 512
 # sites per chunk when the plan hashes its site keys and amplitudes; each
@@ -48,6 +51,51 @@ def _unpack(pack):
     """View, detector row and detector column indices of packed site words."""
     return (pack >> 42, ((pack >> 21) & (2**21 - 1)) - _INDEX_BIAS,
             (pack & (2**21 - 1)) - _INDEX_BIAS)
+
+
+def _gather_table(site, weight, counts, n_sites, block):
+    """Block-major gather table of point-major ``(site, weight)`` terms.
+
+    ``site`` and ``weight`` hold each point's terms in ascending site order,
+    ``counts[l]`` of them for point ``l``.  The table has one segment for
+    each (site block, point) pair with terms, block by block and, within a
+    block, point by point.  A segment's head row holds ``block + l``, the row
+    of point ``l``'s running sum below a block's draws, with weight 1.0; its
+    terms follow with their block-relative site indices, in site order.
+    Returns the int32 indices, the weights and, for each block, the list of
+    its ``(point, start, stop)`` segments.
+    """
+    n_points, n_blocks = len(counts), -(-n_sites // block)
+    first = np.append(0, np.cumsum(counts))
+    lows = np.arange(n_blocks + 1, dtype=site.dtype) * block
+    # offsets[l, b] is the first term of point l in block b, in point-major order
+    offsets = np.empty((n_points, n_blocks + 1), dtype=np.int64)
+    for l in range(n_points):
+        own = site[first[l]:first[l + 1]]
+        assert np.all(np.diff(own) > 0), "each point's terms must follow site order"
+        offsets[l] = first[l] + np.searchsorted(own, lows)
+    sizes = np.diff(offsets, axis=1)                            # (L, blocks)
+    filled = sizes > 0
+    # each nonempty segment takes a head row and its terms, block-major
+    rows = (sizes + filled).T.ravel()
+    head = (np.cumsum(rows) - rows).reshape(n_blocks, n_points).T
+    index = np.empty(site.size + np.count_nonzero(filled), dtype=np.int32)
+    gather = np.empty(index.size)
+    index[head[filled]] = block + np.nonzero(filled)[0]
+    gather[head[filled]] = 1.0
+    # term t of point l in block b goes to head[l, b] + 1 + (t - offsets[l, b]);
+    # one point at a time keeps the int64 temporaries a point's size
+    for l in range(n_points):
+        dest = np.repeat(head[l] + 1 - offsets[l, :-1], sizes[l])
+        dest += np.arange(first[l], first[l + 1])
+        index[dest] = site[first[l]:first[l + 1]] - np.repeat(lows[:-1], sizes[l])
+        gather[dest] = weight[first[l]:first[l + 1]]
+    segments = [[] for _ in range(n_blocks)]
+    starts = head.T[filled.T]
+    for b, l, start, stop in zip(*(a.tolist() for a in np.nonzero(filled.T)),
+                                 starts.tolist(), (starts + sizes.T[filled.T] + 1).tolist()):
+        segments[b].append((l, start, stop))
+    return index, gather, segments
 
 
 class ReconstructionPlan:
@@ -107,26 +155,20 @@ class ReconstructionPlan:
         w = w1[..., :, None] * w2[..., None, :]                  # (L, nv, m1, m2)
         del k1, k2, ok1, ok2, w1, w2
 
-        # the plan is one table of (point, site, weight) terms, in C order of
-        # w: by point, then by packed site.  The batch kernel hashes the sites
-        # in blocks of _SITE_BLOCK; point l's terms in block b are the rows
-        # _offsets[l, b]:_offsets[l, b + 1], in the unblocked sum's order
+        # the (point, site, weight) terms, in C order of w: by point, then
+        # by packed site
         keep = w != 0.0
-        self._term_weight = w[keep]
+        weight = w[keep]
         del w
         term_pack = packed[keep]
         counts = np.count_nonzero(keep.reshape(len(self.points), -1), axis=1)
         del packed, keep
-        self._term_site = np.searchsorted(self._site_pack, term_pack).astype(np.int32)
+        site = np.searchsorted(self._site_pack, term_pack).astype(np.int32)
         del term_pack
-        order = np.repeat(np.arange(len(self.points)) * self.n_sites, counts)
-        order += self._term_site
-        assert np.all(np.diff(order) > 0), "plan terms must follow point and site order"
-        # the last bound is n_sites itself, so no block runs into the next point
-        bounds = np.append(np.arange(0, self.n_sites, _SITE_BLOCK), self.n_sites)
-        self._offsets = np.searchsorted(
-            order, np.arange(len(self.points))[:, None] * self.n_sites + bounds)
-        del order
+        self._block = _SITE_BLOCK
+        self._gather_site, self._gather_weight, self._segments = _gather_table(
+            site, weight, counts, self.n_sites, self._block)
+        del site, weight
 
         self._site_keys = np.empty(self.n_sites, dtype=np.uint64)
         self._site_amp = np.empty(self.n_sites)
@@ -163,52 +205,47 @@ class ReconstructionPlan:
         variances, so it carries no Monte-Carlo error; the sample covariance
         over realizations converges to this matrix.
         """
-        # point l's terms are the rows _offsets[l, 0]:_offsets[l, -1]
-        term_point = np.repeat(np.arange(len(self.points)),
-                               self._offsets[:, -1] - self._offsets[:, 0])
         dense = np.zeros((self.n_sites, len(self.points)))
-        dense[self._term_site, term_point] = self._term_weight
+        for lo, segments in zip(range(0, self.n_sites, self._block), self._segments):
+            for l, a, b in segments:
+                # row a is the segment's head
+                dense[lo + self._gather_site[a + 1:b], l] = self._gather_weight[a + 1:b]
         site_var = self._site_amp**2 / 3.0
         return self._prefactor**2 * (dense * site_var[:, None]).T @ dense
 
-    def _run_batch(self, realizations):
-        if realizations.size == 1:
-            # a one-column einsum is a dot product, summed in several partial
-            # accumulators; two columns keep the sequential order, and so the
-            # bits of any other batch
-            return self._run_batch(np.repeat(realizations, 2))[:1]
-        streams = noise_mod.stream_keys(self.noise_model.seed, realizations)[None, :]
+    def _run_batch(self, realizations, bits, draws):
+        """Running sums, shape (L, width), of a batch of two or more realizations.
+
+        ``bits`` (uint64) and ``draws`` (float64) are flat buffers of at least
+        ``_block + 1`` and ``_block + L`` rows of the batch's width.
+        """
         width = realizations.size
-        bits = np.empty((_SITE_BLOCK + 1, width), dtype=np.uint64)
-        eta = np.empty((_SITE_BLOCK, width))
+        bits = bits[:(self._block + 1) * width].reshape(-1, width)
+        draws = draws[:(self._block + len(self.points)) * width].reshape(-1, width)
         # once a block's draws are made its hash words are dead, so the same
-        # buffer holds one point's draws.  Row 0 carries the point's running
-        # sum into each block's einsum with weight 1.0; the sum starts at
-        # +0.0, and 1.0 * s == s and 0.0 + t == t unless t is -0.0, so each
-        # sum keeps the bits of its terms' sequential sum
+        # buffer holds one segment's gathered terms.  A segment's head row
+        # gathers its point's running sum, which einsum adds with weight 1.0;
+        # the sum starts at +0.0, and 1.0 * s == s and 0.0 + t == t unless t
+        # is -0.0, so each sum keeps the bits of its terms' sequential sum
         terms = bits.view(np.float64)
-        weight = np.empty(_SITE_BLOCK + 1)
-        weight[0] = 1.0
-        acc = np.zeros((len(self.points), width))
-        for block, lo in enumerate(range(0, self.n_sites, _SITE_BLOCK)):
-            hi = min(lo + _SITE_BLOCK, self.n_sites)
-            block_eta = noise_mod.uniform_into(self._site_keys[lo:hi, None], streams,
-                                               bits[:hi - lo], eta[:hi - lo])
-            np.multiply(block_eta, self._site_amp[lo:hi, None], out=block_eta)
-            for l, (a, b) in enumerate(self._offsets[:, block:block + 2].tolist()):
-                if a == b:
-                    continue
+        sums = draws[self._block:]
+        sums[...] = 0.0
+        streams = noise_mod.first_round(
+            noise_mod.stream_keys(self.noise_model.seed, realizations))
+        for lo, segments in zip(range(0, self.n_sites, self._block), self._segments):
+            hi = min(lo + self._block, self.n_sites)
+            noise_mod.scaled_draws_into(noise_mod.first_round(self._site_keys[lo:hi, None]),
+                                        streams, self._site_amp[lo:hi, None] * 2.0**-52,
+                                        bits[:hi - lo], draws[:hi - lo])
+            for l, a, b in segments:
                 # indices are in range by construction; mode="raise" would
                 # copy through a temporary of the output's size
-                np.take(eta, self._term_site[a:b] - lo, axis=0, out=terms[1:b - a + 1],
-                        mode="clip")
-                terms[0] = acc[l]
-                weight[1:b - a + 1] = self._term_weight[a:b]
+                draws.take(self._gather_site[a:b], axis=0, out=terms[:b - a], mode="clip")
                 # for each column, einsum adds the weighted rows one after
                 # another in row order, rounding each product first
-                np.einsum("i,ij->j", weight[:b - a + 1], terms[:b - a + 1], out=acc[l],
+                np.einsum("i,ij->j", self._gather_weight[a:b], terms[:b - a], out=sums[l],
                           optimize=False)
-        return self._prefactor * acc.T
+        return sums
 
     def reconstruct(self, realizations, threads=None):
         """Reconstruction values for the given realization indices.
@@ -229,21 +266,44 @@ class ReconstructionPlan:
             raise IndexError("realization index must be >= 0")
         out = np.empty((realizations.size, len(self.points)))
         starts = range(0, realizations.size, _BATCH)
+        lock = threading.Lock()
+        pending = iter(starts)
+        errors = []
 
-        def work(start):
-            stop = min(start + _BATCH, realizations.size)
-            out[start:stop] = self._run_batch(realizations[start:stop])
+        def work(bits, draws):
+            try:
+                while not errors:
+                    with lock:
+                        start = next(pending, None)
+                    if start is None:
+                        return
+                    batch = realizations[start:start + _BATCH]
+                    # a one-column einsum is a dot product, summed in several
+                    # partial accumulators; two columns keep the sequential
+                    # order, and so the bits of any other batch
+                    sums = self._run_batch(np.resize(batch, max(batch.size, 2)), bits, draws)
+                    np.multiply(sums[:, :batch.size].T, self._prefactor,
+                                out=out[start:start + batch.size])
+            except BaseException as exc:    # re-raised by the calling thread
+                errors.append(exc)
 
-        if threads is not None and threads > 1:
-            # imported here: concurrent.futures also loads logging, which
-            # single-threaded runs never need
-            from concurrent.futures import ThreadPoolExecutor
-
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                list(pool.map(work, starts))
+        # the calling thread allocates every worker's buffers: a worker
+        # thread's own allocations would open a malloc arena apiece and
+        # raise the peak resident size
+        width = max(min(realizations.size, _BATCH), 2)
+        buffers = [(np.empty((self._block + 1) * width, dtype=np.uint64),
+                    np.empty((self._block + len(self.points)) * width))
+                   for _ in range(max(min(threads or 1, len(starts)), 1))]
+        if len(buffers) == 1:
+            work(*buffers[0])
         else:
-            for start in starts:
-                work(start)
+            workers = [threading.Thread(target=work, args=pair) for pair in buffers]
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join()
+        if errors:
+            raise errors[0]
         return out
 
 

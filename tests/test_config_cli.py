@@ -425,7 +425,7 @@ class TestCli:
         (["simulate", "--config", "{ci}", "--threads", "1", "--realizations", "8"],
          ["numpy.ma", "numpy.random", "concurrent.futures"]),
         (["simulate", "--config", "{ci}", "--threads", "2", "--realizations", "8"],
-         ["numpy.ma", "numpy.random"]),
+         ["numpy.ma", "numpy.random", "concurrent.futures", "logging"]),
     ], ids=["check", "predict", "simulate-threads-1", "simulate-threads-2"])
     def test_command_loads_only_what_it_runs(self, tmp_path, argv, unused):
         # a fresh process, so that no other test has imported these modules

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from grf_tomo import NoiseModel, modulation_field, noise, variance_field
@@ -109,6 +110,51 @@ class TestUniformInto:
             expected = (noise._mix(a ^ b) >> np.uint64(11)).astype(np.float64) * 2.0**-52 - 1.0
             out = noise.uniform_into(a, b, np.empty(shape, np.uint64), np.empty(shape))
             assert out.tobytes() == expected.tobytes()
+
+
+def _unshift(word, shift):
+    """Inverse of ``word ^ (word >> shift)`` on 64-bit words."""
+    out = word
+    for k in range(1, 64 // shift + 1):
+        out ^= word >> (k * shift)
+    return out
+
+
+def _unmix_rest(word):
+    """The input on which :func:`noise._mix_rest` returns ``word``."""
+    for factor, shift in ((int(noise._MUL2), 31), (int(noise._MUL1), 27)):
+        word = _unshift(word, shift) * pow(factor, -1, 2**64) % 2**64
+    return word
+
+
+# hash words whose top 53 bits u lie at the ends of the draw range and either
+# side of its midpoint 2^52, where u - 2^52 changes sign
+_EDGE_TOPS = [0, 2**52 - 1, 2**52, 2**53 - 1]
+
+
+@settings(max_examples=200, deadline=None)
+@given(words=st.lists(st.one_of(st.integers(0, 2**64 - 1),
+                                st.builds(lambda top, low: top << 11 | low,
+                                          st.sampled_from(_EDGE_TOPS), st.integers(0, 2**11 - 1))),
+                      min_size=1, max_size=16),
+       amps=st.lists(st.floats(1e-12, 1e3), min_size=1, max_size=4))
+def test_folded_conversion_matches_uniform_times_amplitude(words, amps):
+    # scaled_draws_into converts float(u - 2^52) * (amp * 2^-52) in one
+    # multiply; it must equal uniform_into's u * 2^-52 - 1, times amp, bit
+    # for bit, and both the unfolded conversion.  With a stream key of 0, the
+    # keys below hash to ``words``
+    rounded = np.array([_unmix_rest(w) for w in words], dtype=np.uint64)[:, None]
+    keys = np.array([_unshift(int(r), 30) for r in rounded[:, 0]], dtype=np.uint64)[:, None]
+    assert noise._mix(keys)[:, 0].tolist() == words
+    stream = np.zeros(1, dtype=np.uint64)
+    amp = np.array(amps)
+    shape = (len(words), amp.size)
+    unfolded = ((np.array(words, dtype=np.uint64) >> np.uint64(11)).astype(np.float64)
+                * 2.0**-52 - 1.0)[:, None] * amp
+    uniform = noise.uniform_into(keys, stream, np.empty(shape, np.uint64), np.empty(shape))
+    got = noise.scaled_draws_into(rounded, stream, amp * 2.0**-52,
+                                  np.empty(shape, np.uint64), np.empty(shape))
+    assert got.tobytes() == (uniform * amp).tobytes() == unfolded.tobytes()
 
 
 class TestMoments:

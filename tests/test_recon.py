@@ -1,4 +1,6 @@
 import hashlib
+import sys
+import threading
 import tracemalloc
 import warnings
 
@@ -102,10 +104,34 @@ GOLDEN_PLAN = {
 }
 
 
+def point_major_tables(plan):
+    """``_term_site``, ``_term_weight`` and ``_offsets`` rebuilt from the gather table.
+
+    The plan used to store its terms by point, then site: point l's terms in
+    site block b were the rows ``_offsets[l, b]:_offsets[l, b + 1]``.
+    """
+    n_points, n_blocks = len(plan.points), len(plan._segments)
+    sites = [[] for _ in range(n_points)]
+    weights = [[] for _ in range(n_points)]
+    sizes = np.zeros((n_points, n_blocks), dtype=np.int64)
+    for b, segments in enumerate(plan._segments):
+        for l, a, stop in segments:
+            assert plan._gather_site[a] == plan._block + l and plan._gather_weight[a] == 1.0
+            sites[l].append(b * plan._block + plan._gather_site[a + 1:stop].astype(np.int64))
+            weights[l].append(plan._gather_weight[a + 1:stop])
+            sizes[l, b] = stop - a - 1
+    # each point's running count of terms, after those of the points before it
+    offsets = np.cumsum(np.hstack([np.zeros((n_points, 1), np.int64), sizes]), axis=1)
+    offsets += np.append(0, np.cumsum(sizes.sum(axis=1)))[:-1, None]
+    return {"_term_site": np.concatenate([s for per_point in sites for s in per_point]),
+            "_term_weight": np.concatenate([w for per_point in weights for w in per_point]),
+            "_offsets": offsets}
+
+
 def test_golden_plan_tables():
     plan = ci_plan(20240601)
-    tables = {name: getattr(plan, name) for name in GOLDEN_PLAN}
-    tables["_term_site"] = tables["_term_site"].astype(np.int64)
+    tables = point_major_tables(plan)
+    tables.update((name, getattr(plan, name)) for name in GOLDEN_PLAN if name not in tables)
     digests = {name: hashlib.sha256(table.tobytes()).hexdigest()
                for name, table in tables.items()}
     assert digests == GOLDEN_PLAN
@@ -141,6 +167,24 @@ def test_site_block_does_not_change_bits(monkeypatch):
         monkeypatch.setattr(recon, "_SITE_BLOCK", block)
         out = ci_plan(20240601).reconstruct(r, threads=2)
         assert out.tobytes() == reference.tobytes(), block
+
+
+def test_worker_error_reaches_the_caller(monkeypatch):
+    # a batch that fails in a worker thread fails the call, and every worker
+    # has ended by the time it returns
+    plan = ci_plan(0)
+    run_batch = ReconstructionPlan._run_batch
+
+    def failing(self, realizations, *buffers):
+        if realizations[0] == 2 * _BATCH:
+            raise FloatingPointError("batch 2")
+        return run_batch(self, realizations, *buffers)
+
+    monkeypatch.setattr(ReconstructionPlan, "_run_batch", failing)
+    before = threading.active_count()
+    with pytest.raises(FloatingPointError, match="batch 2"):
+        plan.reconstruct(np.arange(5 * _BATCH), threads=2)
+    assert threading.active_count() == before
 
 
 def test_batch_working_set_is_bounded():
@@ -221,6 +265,21 @@ class TestPlan:
         single = plan.reconstruct(r, threads=1)
         multi = plan.reconstruct(r, threads=7)
         assert np.array_equal(single, multi)
+
+    def test_workers_take_each_batch_once(self, geometry, kernel, noise_model):
+        # more workers than cores share one batch iterator while the
+        # interpreter switches threads as often as it can; a batch taken
+        # twice or lost leaves rows that differ from the one-thread run
+        plan = ReconstructionPlan(geometry, kernel, noise_model, [CENTER])
+        r = np.arange(9 * _BATCH + 5)
+        reference = plan.reconstruct(r, threads=1)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            out = plan.reconstruct(r, threads=6)
+        finally:
+            sys.setswitchinterval(interval)
+        assert out.tobytes() == reference.tobytes()
 
     def test_window_margin_does_not_change_bits(self, geometry, kernel, noise_model,
                                                 monkeypatch):
