@@ -29,7 +29,7 @@ geometry = ConeBeamGeometry(radius=10.0)
 kernel = Kernel(KernelSpec(half_width=2.5, exponent=3))
 center = np.array([2.7, -3.1, 0.8])
 eps = 0.05
-noise = NoiseModel(eps=eps, delta_s=2 * np.pi / 500, seed=20240601)
+noise = NoiseModel(eps=eps, n_views=500, seed=20240601)
 
 offsets = np.array([
     [2.159, 3.075, -0.418],

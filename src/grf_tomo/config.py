@@ -17,7 +17,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .geometry import ConeBeamGeometry, DegenerateProjectionError, TWO_PI
+from .geometry import ConeBeamGeometry, DegenerateProjectionError
 from .kernel import KernelSpec
 from .noise import NoiseModel
 
@@ -200,7 +200,6 @@ class ExperimentConfig:
     center: np.ndarray
     offsets: np.ndarray
     eps: float
-    n_views: int
     realizations: int
     bins: int
     seed: int
@@ -270,17 +269,15 @@ def from_dict(data, source=None):
         else:  # one registry per file, so that each file's warning prints once
             warnings.warn_explicit(message, UserWarning, *source,
                                    registry=_FILE_WARNINGS.setdefault(source[0], {}))
-    n_views = exp["n_views"]
     eps, seed = float(exp["detector_step"]), data["noise"]["seed"]
     config = ExperimentConfig(
         geometry=ConeBeamGeometry(radius=float(geo["radius"]),
                                   admissible_fraction=float(geo["admissible_fraction"])),
         kernel=kernel,
-        noise=NoiseModel(eps=eps, delta_s=TWO_PI / n_views, seed=seed),
+        noise=NoiseModel(eps=eps, n_views=exp["n_views"], seed=seed),
         center=np.asarray(exp["center"], dtype=float),
         offsets=np.asarray(exp["offsets"], dtype=float),
         eps=eps,
-        n_views=n_views,
         realizations=exp["realizations"],
         bins=exp["bins"],
         seed=seed,
@@ -303,7 +300,7 @@ def from_dict(data, source=None):
 def _validate_admissibility(config):
     # point 0 is the center, point k the evaluation point of offset k - 1
     points = np.vstack([config.center, config.points])
-    s = np.arange(config.n_views) * config.noise.delta_s
+    s = np.arange(config.noise.n_views) * config.noise.delta_s
     try:
         config.geometry.check_admissible(points)
         # every view must keep the projection denominator above its floor

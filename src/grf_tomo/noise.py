@@ -16,6 +16,7 @@ has variance ``(eps^4 / delta_s) * sigma2`` with ``sigma2 = h^2 / 3``
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -113,17 +114,6 @@ def scaled_draws_into(site_round, stream_round, scale, bits, out):
     return np.multiply(out, scale, out=out)
 
 
-def uniform_into(site, stream, bits, out):
-    """Write the uniforms of the keys ``site ^ stream`` into ``out``; return ``out``.
-
-    ``site`` and ``stream`` broadcast to the float64 array ``out``; ``bits``
-    is a uint64 array of that shape that is overwritten.  Each operand is
-    rounded apart (see :func:`scaled_draws_into`), which allocates one array
-    of each operand's shape and nothing of ``out``'s shape.
-    """
-    return scaled_draws_into(first_round(site), first_round(stream), 2.0**-52, bits, out)
-
-
 def uniform_from_keys(site, stream):
     """Map hashed keys to uniforms on ``[-1, 1)``; broadcasts its arguments.
 
@@ -131,8 +121,8 @@ def uniform_from_keys(site, stream):
     equispaced values and reproduce bit-for-bit everywhere.
     """
     shape = np.broadcast_shapes(np.shape(site), np.shape(stream))
-    out = np.empty(shape)
-    return uniform_into(site, stream, np.empty(shape, _U64), out)[()]
+    return scaled_draws_into(first_round(site), first_round(stream), 2.0**-52,
+                             np.empty(shape, _U64), np.empty(shape))[()]
 
 
 def modulation_field(s, u, v):
@@ -146,6 +136,10 @@ def variance_field(s, u, v):
     return modulation_field(s, u, v) ** 2 / 3.0
 
 
+def _is_integer(value):
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class NoiseModel:
     """Deterministic structured noise on the ``(view, detector)`` grid.
@@ -157,47 +151,42 @@ class NoiseModel:
     ----------
     eps : float
         Detector sampling step (same along both detector axes).
-    delta_s : float
-        Angular step between views; ``n_views = 2*pi / delta_s`` views cover
-        one turn.
+    n_views : int
+        Views per turn of the source circle; the angular step between views
+        is ``delta_s = 2*pi / n_views``.
     seed : int
         64-bit unsigned master seed.
     """
 
     eps: float
-    delta_s: float
+    n_views: int
     seed: int
 
     def __post_init__(self):
-        if not self.eps > 0:
-            raise ValueError(f"eps must be > 0, got {self.eps}")
-        if not self.delta_s > 0:
-            raise ValueError(f"delta_s must be > 0, got {self.delta_s}")
-        if not 0 <= int(self.seed) < 2**64:
-            raise ValueError("seed must be a 64-bit unsigned integer")
+        if not 0 < self.eps < np.inf:
+            raise ValueError(f"eps must be finite and > 0, got {self.eps}")
+        if not (_is_integer(self.n_views) and self.n_views >= 1):
+            raise ValueError(f"n_views must be an integer >= 1, got {self.n_views!r}")
+        if not (_is_integer(self.seed) and 0 <= self.seed < 2**64):
+            raise ValueError(f"seed must be a 64-bit unsigned integer, got {self.seed!r}")
 
     @property
-    def n_views(self):
-        return int(round(2.0 * np.pi / self.delta_s))
+    def delta_s(self):
+        """Angular step ``2*pi / n_views`` between views, the quadrature weight."""
+        return 2.0 * np.pi / self.n_views
 
     @property
     def scale(self):
         """Amplitude ``eps^2 / sqrt(delta_s)`` multiplying every draw."""
         return self.eps**2 / np.sqrt(self.delta_s)
 
-    def _check_indices(self, realization, j):
-        realization = np.asarray(realization)
-        j = np.asarray(j)
-        if np.any(realization < 0):
-            raise IndexError("realization index must be >= 0")
-        if np.any((j < 0) | (j >= self.n_views)):
-            raise IndexError(
-                f"view index out of grid: expected 0 <= j < {self.n_views}"
-            )
-
     def uniform(self, realization, j, k1, k2):
         """Raw uniform draw ``nu`` on ``[-1, 1)`` for the given indices."""
-        self._check_indices(realization, j)
+        if np.any(np.asarray(realization) < 0):
+            raise IndexError("realization index must be >= 0")
+        j = np.asarray(j)
+        if np.any((j < 0) | (j >= self.n_views)):
+            raise IndexError(f"view index out of grid: expected 0 <= j < {self.n_views}")
         out = uniform_from_keys(site_keys(j, k1, k2),
                                 stream_keys(self.seed, realization))
         return out if np.ndim(out) else float(out)

@@ -170,13 +170,16 @@ class ReconstructionPlan:
             site, weight, counts, self.n_sites, self._block)
         del site, weight
 
-        self._site_keys = np.empty(self.n_sites, dtype=np.uint64)
-        self._site_amp = np.empty(self.n_sites)
+        # each site's draw inputs, as noise.scaled_draws_into takes them: its
+        # noise key after the finalizer's first round and its amplitude
+        # times 2^-52
+        self._site_round = np.empty(self.n_sites, dtype=np.uint64)
+        self._site_scale = np.empty(self.n_sites)
         for lo in range(0, self.n_sites, _SITE_CHUNK):
             chunk = slice(lo, lo + _SITE_CHUNK)
             j, k1, k2 = _unpack(self._site_pack[chunk])
-            self._site_keys[chunk] = noise_mod.site_keys(j, k1, k2)
-            self._site_amp[chunk] = noise_model.amplitude(j, k1, k2)
+            self._site_round[chunk] = noise_mod.first_round(noise_mod.site_keys(j, k1, k2))
+            self._site_scale[chunk] = noise_model.amplitude(j, k1, k2) * 2.0**-52
         self._prefactor = noise_model.delta_s / eps**2
 
     @property
@@ -210,7 +213,8 @@ class ReconstructionPlan:
             for l, a, b in segments:
                 # row a is the segment's head
                 dense[lo + self._gather_site[a + 1:b], l] = self._gather_weight[a + 1:b]
-        site_var = self._site_amp**2 / 3.0
+        # scaling by a power of two is exact, so this is each amplitude
+        site_var = (self._site_scale * 2.0**52)**2 / 3.0
         return self._prefactor**2 * (dense * site_var[:, None]).T @ dense
 
     def _run_batch(self, realizations, bits, draws):
@@ -234,8 +238,8 @@ class ReconstructionPlan:
             noise_mod.stream_keys(self.noise_model.seed, realizations))
         for lo, segments in zip(range(0, self.n_sites, self._block), self._segments):
             hi = min(lo + self._block, self.n_sites)
-            noise_mod.scaled_draws_into(noise_mod.first_round(self._site_keys[lo:hi, None]),
-                                        streams, self._site_amp[lo:hi, None] * 2.0**-52,
+            noise_mod.scaled_draws_into(self._site_round[lo:hi, None], streams,
+                                        self._site_scale[lo:hi, None],
                                         bits[:hi - lo], draws[:hi - lo])
             for l, a, b in segments:
                 # indices are in range by construction; mode="raise" would

@@ -32,7 +32,7 @@ def kernel():
 
 @pytest.fixture(scope="session")
 def noise_model():
-    return NoiseModel(eps=EPS, delta_s=DELTA_S, seed=20240601)
+    return NoiseModel(eps=EPS, n_views=N_VIEWS, seed=20240601)
 
 
 # document (section, field) of each field that with_overrides can replace

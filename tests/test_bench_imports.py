@@ -4,11 +4,13 @@
 library no longer defines shows up only when they run.  Each script is
 parsed, not run: every name it imports from ``grf_tomo`` must resolve, and
 so must every attribute it reads from a bound ``grf_tomo`` module
-(``gt.load_config``, ``noise.stream_keys``, ``grf_tomo.cli``) and from a
-reconstruction plan (``plan.n_sites``).
+(``gt.load_config``, ``noise.stream_keys``, ``grf_tomo.cli``), from a
+reconstruction plan (``plan.n_sites``), from a configuration
+(``cfg.realizations``) and from a noise model (``cfg.noise.seed``).
 """
 
 import ast
+import dataclasses
 import importlib
 import inspect
 import textwrap
@@ -17,7 +19,7 @@ from types import ModuleType
 
 import pytest
 
-from grf_tomo import ReconstructionPlan
+from grf_tomo import ExperimentConfig, NoiseModel, ReconstructionPlan
 
 ROOT = Path(__file__).resolve().parents[1]
 SCRIPTS = sorted(ROOT.glob("bench/*.py")) + sorted(ROOT.glob("demos/*.py"))
@@ -96,10 +98,80 @@ def _plan_reads(tree):
                    True if node.attr in known else None)
 
 
+def _own_nodes(scope):
+    """The nodes of ``scope``, a module or a function, outside its nested functions."""
+    stack = list(ast.iter_child_nodes(scope))
+    while stack:
+        node = stack.pop()
+        yield node
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            stack.extend(ast.iter_child_nodes(node))
+
+
+def _is_config(node):
+    """``cfg`` or ``self.cfg``."""
+    return (isinstance(node, ast.Name) and node.id == "cfg"
+            or isinstance(node, ast.Attribute) and node.attr == "cfg"
+            and isinstance(node.value, ast.Name) and node.value.id == "self")
+
+
+def _builds_noise(node, names):
+    """Whether ``node`` is a ``NoiseModel(...)`` call or ``replace(<noise model>, ...)``."""
+    if not isinstance(node, ast.Call):
+        return False
+    func = getattr(node.func, "id", getattr(node.func, "attr", None))
+    return func == "NoiseModel" or (func == "replace" and bool(node.args)
+                                    and _is_noise(node.args[0], names))
+
+
+def _is_noise(node, names):
+    """A noise model: ``<config>.noise``, ``<anything>.noise_model``, a name in
+    ``names``, or one that :func:`_builds_noise` builds."""
+    if isinstance(node, ast.Name):
+        return node.id in names
+    if isinstance(node, ast.Attribute):
+        return node.attr == "noise_model" or node.attr == "noise" and _is_config(node.value)
+    return _builds_noise(node, names)
+
+
+def _model_reads(tree):
+    """Yield ``(line, "<class>.<attr>", True or None)`` for each configuration
+    and noise-model read, and for each field that building a noise model sets.
+
+    A name is a noise model in the function that assigns it one, and in the
+    functions nested there; ``noise_model`` is one everywhere.
+    """
+    known = {cls: set(dir(cls)) | {f.name for f in dataclasses.fields(cls)}
+             for cls in (ExperimentConfig, NoiseModel)}
+    fields = {f.name for f in dataclasses.fields(NoiseModel)}
+
+    def visit(scope, names):
+        nodes = list(_own_nodes(scope))
+        names = names | {target.id for node in nodes if isinstance(node, ast.Assign)
+                         and _is_noise(node.value, names)
+                         for target in node.targets if isinstance(target, ast.Name)}
+        for node in nodes:
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                cls = (ExperimentConfig if _is_config(node.value)
+                       else NoiseModel if _is_noise(node.value, names) else None)
+                if cls is not None:
+                    yield (node.lineno, f"{cls.__name__}.{node.attr}",
+                           True if node.attr in known[cls] else None)
+            elif _builds_noise(node, names):
+                for keyword in node.keywords:
+                    if keyword.arg is not None:
+                        yield (node.lineno, f"NoiseModel.{keyword.arg}",
+                               True if keyword.arg in fields else None)
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                yield from visit(node, names)
+
+    yield from visit(tree, frozenset({"noise_model"}))
+
+
 @pytest.mark.parametrize("script", SCRIPTS, ids=lambda p: str(p.relative_to(ROOT)))
 def test_library_names_resolve(script):
     tree = ast.parse(script.read_text(), filename=str(script))
-    uses = list(_library_uses(tree)) + list(_plan_reads(tree))
+    uses = list(_library_uses(tree)) + list(_plan_reads(tree)) + list(_model_reads(tree))
     missing = [f"{script.name}:{line}: {name}" for line, name, value in uses if value is None]
     assert not missing, "names the library no longer has:\n" + "\n".join(missing)
 
@@ -128,3 +200,32 @@ def test_guard_sees_the_plan_reads():
                      "table = gt.ReconstructionPlan(g, k, n, p)\ntable.site_j\ntable._offsets\n")
     assert sorted((line, name) for line, name, value in _plan_reads(gone) if value is None) == [
         (1, "ReconstructionPlan.no_such_table"), (6, "ReconstructionPlan._offsets")]
+
+
+def test_guard_sees_the_config_and_noise_model_reads():
+    # the configuration and noise-model reads of the benchmark and the
+    # demos are among those found, and a field neither class has is
+    # reported, as is a keyword that builds a noise model with no such field
+    reads = {name for script in SCRIPTS
+             for _, name, _ in _model_reads(ast.parse(script.read_text()))}
+    assert {"ExperimentConfig.realizations", "ExperimentConfig.eps", "ExperimentConfig.seed",
+            "ExperimentConfig.noise", "NoiseModel.n_views", "NoiseModel.delta_s",
+            "NoiseModel.scale", "NoiseModel.seed", "NoiseModel.sample"} <= reads
+    gone = ast.parse(textwrap.dedent("""\
+        cfg.no_such_field
+        cfg.n_views
+        cfg.noise.seed
+        NoiseModel(eps=0.05, delta_s=0.01, seed=1)
+        def check(self):
+            model = self.model()
+            model.reconstruct
+            noise = dataclasses.replace(self.cfg.noise, delta_s=0.01)
+            noise.n_views
+        def oracle(self):
+            model = self.noise_model
+            model.no_such_property
+        """))
+    assert sorted((line, name) for line, name, value in _model_reads(gone) if value is None) == [
+        (1, "ExperimentConfig.no_such_field"), (2, "ExperimentConfig.n_views"),
+        (4, "NoiseModel.delta_s"), (8, "NoiseModel.delta_s"),
+        (12, "NoiseModel.no_such_property")]

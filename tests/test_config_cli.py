@@ -12,6 +12,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from grf_tomo import ConfigError, ReconstructionPlan, load_config
 from grf_tomo import cli, config
 from grf_tomo.config import ASSERTION_RULES, CHECKS, PAIR, from_dict, preset_path
+from grf_tomo.geometry import TWO_PI
 from conftest import SRC, assert_manifest_lists_outputs, write_reduced_check_config
 
 
@@ -94,8 +95,19 @@ class TestConfigValidation:
     def test_bundled_presets_load(self):
         for name in ("paper", "ci"):
             cfg = load_config(preset_path(name))
-            assert cfg.n_views == 500
+            assert cfg.noise.n_views == 500
             assert cfg.offsets.shape == (3, 3)
+
+    @pytest.mark.parametrize("name", ["paper", "ci"])
+    def test_noise_model_owns_the_documents_view_count(self, name):
+        # the view step is 2*pi over the document's view count, so the views
+        # close one turn, and the document keeps the count it was given
+        with open(preset_path(name)) as fh:
+            n_views = json.load(fh)["experiment"]["n_views"]
+        cfg = load_config(preset_path(name))
+        assert cfg.noise.n_views == n_views
+        assert cfg.noise.delta_s == TWO_PI / n_views
+        assert cfg.to_dict()["experiment"]["n_views"] == n_views
 
     def test_malformed_json_reports_byte_offset(self, tmp_path):
         path = tmp_path / "broken.json"

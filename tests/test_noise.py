@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from grf_tomo import NoiseModel, modulation_field, noise, variance_field
-from conftest import DELTA_S, EPS
+from conftest import DELTA_S, EPS, N_VIEWS
 
 
 class TestModulationField:
@@ -31,14 +31,15 @@ class TestModulationField:
 
 class TestModelValidation:
     def test_rejects_bad_parameters(self):
-        with pytest.raises(ValueError):
-            NoiseModel(eps=0.0, delta_s=0.01, seed=1)
-        with pytest.raises(ValueError):
-            NoiseModel(eps=0.05, delta_s=-1.0, seed=1)
-        with pytest.raises(ValueError):
-            NoiseModel(eps=0.05, delta_s=0.01, seed=-2)
-        with pytest.raises(ValueError):
-            NoiseModel(eps=0.05, delta_s=0.01, seed=2**64)
+        # n_views counts the views of one turn, so only a whole number >= 1
+        # closes it; a fractional seed would silently draw its floor's noise,
+        # and an infinite step makes every draw nan
+        for eps, n_views, seed in [
+                (0.0, 500, 1), (np.inf, 500, 1), (np.nan, 500, 1),
+                (0.05, 0, 1), (0.05, -1, 1), (0.05, 2.5, 1), (0.05, True, 1),
+                (0.05, 500, -2), (0.05, 500, 2**64), (0.05, 500, 1.7), (0.05, 500, True)]:
+            with pytest.raises(ValueError):
+                NoiseModel(eps=eps, n_views=n_views, seed=seed)
 
     def test_index_errors(self, noise_model):
         with pytest.raises(IndexError):
@@ -72,8 +73,8 @@ class TestDeterminism:
         assert forward == backward[::-1]
 
     def test_seed_changes_draws(self):
-        a = NoiseModel(eps=EPS, delta_s=DELTA_S, seed=1).sample(0, 0, 0, 0)
-        b = NoiseModel(eps=EPS, delta_s=DELTA_S, seed=2).sample(0, 0, 0, 0)
+        a = NoiseModel(eps=EPS, n_views=N_VIEWS, seed=1).sample(0, 0, 0, 0)
+        b = NoiseModel(eps=EPS, n_views=N_VIEWS, seed=2).sample(0, 0, 0, 0)
         assert a != b
 
 
@@ -87,7 +88,7 @@ def splitmix64_finalizer(word):
     return word ^ word >> 31
 
 
-class TestUniformInto:
+class TestUniformFromKeys:
     def keys(self, shape):
         rng = np.random.default_rng(3)
         site, stream = (rng.integers(0, 2**64, size=shape, dtype=np.uint64) for _ in range(2))
@@ -99,16 +100,16 @@ class TestUniformInto:
         assert noise._mix(words).tolist() == [splitmix64_finalizer(int(w)) for w in words]
 
     def test_full_shape_keys_match_unsplit_mix(self):
-        # uniform_into applies the finalizer's first xor-shift to each operand
-        # and converts through an int64 view.  On keys of the output's full
-        # shape (no broadcast operand) and on broadcast ones alike, that must
-        # equal the whole finalizer on site ^ stream with numpy's uint64 to
-        # float64 conversion, bit for bit
+        # uniform_from_keys applies the finalizer's first xor-shift to each
+        # operand and converts through an int64 view.  On keys of the
+        # output's full shape (no broadcast operand) and on broadcast ones
+        # alike, that must equal the whole finalizer on site ^ stream with
+        # numpy's uint64 to float64 conversion, bit for bit
         shape = (64, 96)
         site, stream = self.keys(shape)
         for a, b in ((site, stream), (site[:, :1], stream[:1])):
             expected = (noise._mix(a ^ b) >> np.uint64(11)).astype(np.float64) * 2.0**-52 - 1.0
-            out = noise.uniform_into(a, b, np.empty(shape, np.uint64), np.empty(shape))
+            out = noise.uniform_from_keys(a, b)
             assert out.tobytes() == expected.tobytes()
 
 
@@ -140,7 +141,7 @@ _EDGE_TOPS = [0, 2**52 - 1, 2**52, 2**53 - 1]
        amps=st.lists(st.floats(1e-12, 1e3), min_size=1, max_size=4))
 def test_folded_conversion_matches_uniform_times_amplitude(words, amps):
     # scaled_draws_into converts float(u - 2^52) * (amp * 2^-52) in one
-    # multiply; it must equal uniform_into's u * 2^-52 - 1, times amp, bit
+    # multiply; it must equal uniform_from_keys's u * 2^-52 - 1, times amp, bit
     # for bit, and both the unfolded conversion.  With a stream key of 0, the
     # keys below hash to ``words``
     rounded = np.array([_unmix_rest(w) for w in words], dtype=np.uint64)[:, None]
@@ -151,7 +152,7 @@ def test_folded_conversion_matches_uniform_times_amplitude(words, amps):
     shape = (len(words), amp.size)
     unfolded = ((np.array(words, dtype=np.uint64) >> np.uint64(11)).astype(np.float64)
                 * 2.0**-52 - 1.0)[:, None] * amp
-    uniform = noise.uniform_into(keys, stream, np.empty(shape, np.uint64), np.empty(shape))
+    uniform = noise.uniform_from_keys(keys, stream)
     got = noise.scaled_draws_into(rounded, stream, amp * 2.0**-52,
                                   np.empty(shape, np.uint64), np.empty(shape))
     assert got.tobytes() == (uniform * amp).tobytes() == unfolded.tobytes()
@@ -172,7 +173,7 @@ class TestMoments:
         assert abs(np.mean(np.abs(nu) ** 3) / 0.25 - 1.0) < 0.01
 
     def test_hashed_uniform_exact_moments(self):
-        # 2000 sites x 2000 streams through uniform_into, as the reconstruction
+        # 2000 sites x 2000 streams through scaled_draws_into, as the reconstruction
         # hashes them; a draw scale of 1.01 moves E[nu^2] by about 45 standard
         # errors, and no science gate sees it
         nu = noise.uniform_from_keys(noise.site_keys(np.arange(2000)[:, None], 3, -4),
@@ -213,7 +214,7 @@ class TestMoments:
                                                       * noise_model.uniform(3, 17, -12, 40))
 
     def test_custom_modulation(self, monkeypatch):
-        model = NoiseModel(eps=EPS, delta_s=DELTA_S, seed=9)
+        model = NoiseModel(eps=EPS, n_views=N_VIEWS, seed=9)
         base = model.sample(5, 3, 1, 2)
         monkeypatch.setattr(noise, "modulation_field",
                             lambda s, u, v: 2.0 * modulation_field(s, u, v))

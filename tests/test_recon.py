@@ -129,8 +129,13 @@ def point_major_tables(plan):
 
 
 def test_golden_plan_tables():
+    # the plan stores each site's key after the finalizer's first round and
+    # its amplitude times 2^-52, both exact images of the tables digested
     plan = ci_plan(20240601)
     tables = point_major_tables(plan)
+    tables["_site_keys"] = noise.site_keys(plan.site_j, plan.site_k1, plan.site_k2)
+    assert plan._site_round.tobytes() == noise.first_round(tables["_site_keys"]).tobytes()
+    tables["_site_amp"] = plan._site_scale * 2.0**52
     tables.update((name, getattr(plan, name)) for name in GOLDEN_PLAN if name not in tables)
     digests = {name: hashlib.sha256(table.tobytes()).hexdigest()
                for name, table in tables.items()}
@@ -144,7 +149,7 @@ def test_plan_build_holds_little_beyond_its_tables():
     # the tables no longer need it gives 13.7 MB, 1.7 times 8.0 MB
     cfg = load_preset("paper")
     eps = cfg.eps / 4
-    noise_model = NoiseModel(eps=eps, delta_s=2.0 * np.pi / 2000, seed=cfg.seed)
+    noise_model = NoiseModel(eps=eps, n_views=2000, seed=cfg.seed)
     points = cfg.center + eps * cfg.offsets
     tracemalloc.start()
     try:
@@ -309,7 +314,7 @@ class TestPlan:
                               alone.reconstruct(r)[:, 0])
 
     def test_doubled_modulation_scales_samples(self, geometry, kernel, monkeypatch):
-        model = NoiseModel(eps=EPS, delta_s=DELTA_S, seed=5)
+        model = NoiseModel(eps=EPS, n_views=N_VIEWS, seed=5)
         r = np.arange(64)
         a = ReconstructionPlan(geometry, kernel, model, [CENTER]).reconstruct(r)
         monkeypatch.setattr(noise, "modulation_field", lambda s, u, v: 2.0
@@ -323,7 +328,7 @@ class TestPlan:
     def test_site_amplitudes_are_the_noise_models(self):
         plan = ci_plan(20240601)
         amp = plan.noise_model.amplitude(plan.site_j, plan.site_k1, plan.site_k2)
-        assert amp.tobytes() == plan._site_amp.tobytes()
+        assert (amp * 2.0**-52).tobytes() == plan._site_scale.tobytes()
 
     def test_exact_covariance_near_limit_prediction(self, geometry, kernel,
                                                     noise_model):
