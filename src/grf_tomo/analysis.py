@@ -15,7 +15,7 @@ and convergence underpin the angle-average step of the covariance limit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,7 +36,6 @@ class ZeroSetReport:
 
     roots: np.ndarray
     degenerate: bool
-    resolution: int
     direction: np.ndarray
     max_abs: float
 
@@ -105,14 +104,14 @@ def hessian_scan_battery(geometry, x0, directions, resolution=2000):
         d2 = (plus @ direction - 2.0 * (mid @ direction) + minus @ direction) / h**2
         max_abs = float(np.max(np.abs(d2)))
         if max_abs <= _DEGENERATE_TOL:
-            reports.append(ZeroSetReport(np.array([]), True, resolution, direction, max_abs))
+            reports.append(ZeroSetReport(np.array([]), True, direction, max_abs))
             continue
         # wrap around so sign changes across the period boundary are caught
         vals = np.append(d2, d2[0])
         crossings = np.nonzero(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0)[0]
         # grid points that are exact zeros (between two opposite signs they are
         # also found by bisection; isolated exact zeros are rare and kept)
-        reports.append(ZeroSetReport(grid[d2 == 0.0], False, resolution, direction, max_abs))
+        reports.append(ZeroSetReport(grid[d2 == 0.0], False, direction, max_abs))
         found.append((reports[-1], len(brackets), len(brackets) + crossings.size))
         brackets += [(direction, ys[i], ys[i + 1], vals[i]) for i in crossings]
     along, a, b, fa = (np.array([bracket[j] for bracket in brackets]) for j in range(4))
@@ -213,12 +212,8 @@ class WeylDecayResult:
 
     eps_values: np.ndarray
     sums: np.ndarray
-    magnitudes: np.ndarray = field(init=False)
-    slope: float = field(init=False)
-
-    def __post_init__(self):
-        self.magnitudes = np.abs(self.sums)
-        self.slope = fit_log_slope(self.eps_values, self.magnitudes)
+    magnitudes: np.ndarray
+    slope: float
 
 
 def weyl_decay_table(fn, box, exponents=(-2.0, -2.5, -3.0, -3.5, -4.0, -4.5)):
@@ -229,7 +224,8 @@ def weyl_decay_table(fn, box, exponents=(-2.0, -2.5, -3.0, -3.5, -4.0, -4.5)):
     """
     eps_values = 10.0 ** np.asarray(exponents, dtype=float)
     sums = np.array([weyl_sum(fn, e, box) for e in eps_values])
-    return WeylDecayResult(eps_values=eps_values, sums=sums)
+    magnitudes = np.abs(sums)
+    return WeylDecayResult(eps_values, sums, magnitudes, fit_log_slope(eps_values, magnitudes))
 
 
 def fit_log_slope(eps_values, magnitudes):

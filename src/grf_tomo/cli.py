@@ -96,9 +96,9 @@ def cmd_predict(config, threads):
 def cmd_simulate(config, threads):
     # predicting first frees the predictor's temporaries before the plan and
     # the worker buffers exist, and a quadrature that does not converge
-    # fails before any Monte Carlo runs
-    _, predicted = _prediction(config)
-    plan = ReconstructionPlan(config.geometry, config.kernel, config.noise, config.points)
+    # fails before any Monte Carlo runs; the plan reuses the predictor's kernel
+    predictor, predicted = _prediction(config)
+    plan = ReconstructionPlan(config.geometry, predictor.kernel, config.noise, config.points)
     samples = plan.reconstruct(np.arange(config.realizations), threads=threads)
     del plan  # its tables are not kept while the histograms are built
     count, mean, com = streaming_moments(samples)

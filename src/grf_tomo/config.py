@@ -199,15 +199,23 @@ class ExperimentConfig:
     noise: NoiseModel
     center: np.ndarray
     offsets: np.ndarray
-    eps: float
     realizations: int
     bins: int
-    seed: int
     panels: int
     tolerance: float
     checks: dict
     assertions: dict
     _document: dict = field(repr=False)
+
+    @property
+    def eps(self):
+        """Detector step, as the noise model has it."""
+        return self.noise.eps
+
+    @property
+    def seed(self):
+        """Master seed, as the noise model has it."""
+        return self.noise.seed
 
     @property
     def points(self):
@@ -269,18 +277,16 @@ def from_dict(data, source=None):
         else:  # one registry per file, so that each file's warning prints once
             warnings.warn_explicit(message, UserWarning, *source,
                                    registry=_FILE_WARNINGS.setdefault(source[0], {}))
-    eps, seed = float(exp["detector_step"]), data["noise"]["seed"]
     config = ExperimentConfig(
         geometry=ConeBeamGeometry(radius=float(geo["radius"]),
                                   admissible_fraction=float(geo["admissible_fraction"])),
         kernel=kernel,
-        noise=NoiseModel(eps=eps, n_views=exp["n_views"], seed=seed),
+        noise=NoiseModel(eps=float(exp["detector_step"]), n_views=exp["n_views"],
+                         seed=data["noise"]["seed"]),
         center=np.asarray(exp["center"], dtype=float),
         offsets=np.asarray(exp["offsets"], dtype=float),
-        eps=eps,
         realizations=exp["realizations"],
         bins=exp["bins"],
-        seed=seed,
         panels=pred["panels"],
         tolerance=float(pred["tolerance"]),
         checks=data["checks"],

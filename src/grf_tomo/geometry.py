@@ -48,8 +48,8 @@ class ConeBeamGeometry:
     parameter_period = TWO_PI
 
     def __post_init__(self):
-        if not self.radius > 0:
-            raise ValueError(f"radius must be > 0, got {self.radius}")
+        if isinstance(self.radius, (bool, np.bool_)) or not self.radius > 0:
+            raise ValueError(f"radius must be a number > 0, got {self.radius!r}")
         if not 0 < self.admissible_fraction < 1:
             raise ValueError("admissible_fraction must lie in (0, 1)")
 
@@ -174,8 +174,9 @@ class ConeBeamGeometry:
 class Radon2DGeometry:
     """Classical 2D Radon parametrization, used by the assumption checks.
 
-    Stateless; exposes the same ``projection`` / ``project_gradient``
-    interface as :class:`ConeBeamGeometry` with a 1-component data map.
+    Stateless; exposes the same ``projection`` interface as
+    :class:`ConeBeamGeometry` with a 1-component data map, which is what
+    :func:`~grf_tomo.analysis.hessian_zero_scan` reads.
     """
 
     parameter_period = TWO_PI
@@ -185,11 +186,3 @@ class Radon2DGeometry:
         x = np.asarray(x, dtype=float)
         alpha = _normalize_angle(alpha)
         return (x[..., 0] * np.cos(alpha) + x[..., 1] * np.sin(alpha))[..., None]
-
-    def project_gradient(self, x, alpha):
-        alpha = _normalize_angle(alpha)
-        shape = np.broadcast_shapes(np.shape(np.asarray(x)[..., 0]), np.shape(alpha))
-        grad = np.zeros(shape + (1, 2))
-        grad[..., 0, 0] = np.cos(alpha)
-        grad[..., 0, 1] = np.sin(alpha)
-        return grad

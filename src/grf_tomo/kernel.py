@@ -64,10 +64,11 @@ class KernelSpec:
     exponent: int = 3
 
     def __post_init__(self):
-        if not self.half_width > 0:
-            raise ValueError(f"half_width must be > 0, got {self.half_width}")
-        if int(self.exponent) != self.exponent or self.exponent < 1:
-            raise ValueError(f"exponent must be an integer >= 1, got {self.exponent}")
+        if isinstance(self.half_width, (bool, np.bool_)) or not self.half_width > 0:
+            raise ValueError(f"half_width must be a number > 0, got {self.half_width!r}")
+        if isinstance(self.exponent, (bool, np.bool_)) or int(self.exponent) != self.exponent \
+                or self.exponent < 1:
+            raise ValueError(f"exponent must be an integer >= 1, got {self.exponent!r}")
 
     @property
     def support(self):
@@ -99,9 +100,9 @@ class Kernel:
         # bump = c * (1 - (t/a)^2)^l with c chosen so the bump has unit mass
         norm = _double_factorial(2 * l + 1) / (2.0 * a * _double_factorial(2 * l))
         self._bump = norm * np.polynomial.Polynomial([1.0, 0.0, -1.0 / a**2]) ** l
-        self._bump_int1 = self._bump.integ(1, lbnd=-a)      # vanishes at -a
-        self._bump_int2 = self._bump_int1.integ(1, lbnd=-a)
-        self._mass1 = float(self._bump_int1(a))             # 1 up to rounding
+        bump_int1 = self._bump.integ(1, lbnd=-a)            # vanishes at -a
+        self._bump_int2 = bump_int1.integ(1, lbnd=-a)
+        self._mass1 = float(bump_int1(a))                   # 1 up to rounding
         self._mass2 = float(self._bump_int2(a))
         self._pieces = {}
 

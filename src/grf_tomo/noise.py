@@ -163,8 +163,8 @@ class NoiseModel:
     seed: int
 
     def __post_init__(self):
-        if not 0 < self.eps < np.inf:
-            raise ValueError(f"eps must be finite and > 0, got {self.eps}")
+        if isinstance(self.eps, (bool, np.bool_)) or not 0 < self.eps < np.inf:
+            raise ValueError(f"eps must be a finite number > 0, got {self.eps!r}")
         if not (_is_integer(self.n_views) and self.n_views >= 1):
             raise ValueError(f"n_views must be an integer >= 1, got {self.n_views!r}")
         if not (_is_integer(self.seed) and 0 <= self.seed < 2**64):

@@ -38,6 +38,9 @@ _SITE_BLOCK = 512
 # sites per chunk when the plan hashes its site keys and amplitudes; each
 # chunk's temporaries are the size of one batch buffer
 _SITE_CHUNK = _SITE_BLOCK * _BATCH
+# sample rows per chunk of streaming_moments; the merge order, and so the
+# output bits, depend on it
+_MOMENT_CHUNK = 1024
 
 
 def _footprint_bounds(coord, support):
@@ -118,8 +121,6 @@ class ReconstructionPlan:
     def __init__(self, geometry, kernel, noise_model, points):
         if not isinstance(kernel, Kernel):
             kernel = Kernel(kernel)
-        self.geometry = geometry
-        self.kernel = kernel
         self.noise_model = noise_model
         self.points = np.atleast_2d(np.asarray(points, dtype=float))
         if self.points.ndim != 2 or self.points.shape[1] != 3:
@@ -316,15 +317,16 @@ class ReconstructionPlan:
 # ---------------------------------------------------------------------------
 
 
-def streaming_moments(samples, chunk=1024):
-    """Count, mean and comoment matrix of rows ``(n, L)``, merged chunk by chunk in row order."""
+def streaming_moments(samples):
+    """Count, mean and comoment matrix of rows ``(n, L)``, merged in row order
+    from chunks of :data:`_MOMENT_CHUNK` rows."""
     samples = np.asarray(samples, dtype=float)
     n_total, width = samples.shape
     count = 0
     mean = np.zeros(width)
     com = np.zeros((width, width))
-    for start in range(0, n_total, chunk):
-        block = samples[start:start + chunk]
+    for start in range(0, n_total, _MOMENT_CHUNK):
+        block = samples[start:start + _MOMENT_CHUNK]
         nb = block.shape[0]
         mb = np.add.reduce(block, axis=0) / nb
         centered = block - mb

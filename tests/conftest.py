@@ -4,8 +4,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from grf_tomo import ConeBeamGeometry, Kernel, KernelSpec, NoiseModel, ReconstructionPlan
+from grf_tomo import (ConeBeamGeometry, Kernel, KernelSpec, NoiseModel, Radon2DGeometry,
+                      ReconstructionPlan)
 from grf_tomo.config import from_dict, preset_path
+from grf_tomo.geometry import _normalize_angle
 
 # reference experiment layout used across the suite
 CENTER = np.array([2.7, -3.1, 0.8])
@@ -18,6 +20,20 @@ DELTA_S = 2.0 * np.pi / N_VIEWS
 # the pytest pythonpath setting does not reach a subprocess, which gets this
 # checkout's sources through PYTHONPATH instead
 SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+
+class Radon2DWithGradient(Radon2DGeometry):
+    """The 2D Radon model with the Jacobian that ``degeneracy_tolerance_scan``
+    reads; only the tests run that scan on it."""
+
+    def project_gradient(self, x, alpha):
+        """Jacobian ``(cos a, sin a)`` of the signed distance, shape (..., 1, 2)."""
+        alpha = _normalize_angle(alpha)
+        shape = np.broadcast_shapes(np.shape(np.asarray(x)[..., 0]), np.shape(alpha))
+        grad = np.zeros(shape + (1, 2))
+        grad[..., 0, 0] = np.cos(alpha)
+        grad[..., 0, 1] = np.sin(alpha)
+        return grad
 
 
 @pytest.fixture(scope="session")

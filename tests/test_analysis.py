@@ -6,7 +6,6 @@ import pytest
 from numpy.testing import assert_allclose
 
 from grf_tomo import (
-    Radon2DGeometry,
     degeneracy_tolerance_scan,
     equidistributed_average,
     fit_log_slope,
@@ -16,11 +15,12 @@ from grf_tomo import (
     weyl_sum,
 )
 from grf_tomo import cli
-from conftest import (CENTER, OFFSET_A, OFFSET_B, assert_manifest_lists_outputs,
-                      hessian_zero_scan_reference, write_reduced_check_config)
+from conftest import (CENTER, OFFSET_A, OFFSET_B, Radon2DWithGradient,
+                      assert_manifest_lists_outputs, hessian_zero_scan_reference,
+                      write_reduced_check_config)
 
 
-RADON = Radon2DGeometry()
+RADON = Radon2DWithGradient()
 
 
 # sha256 of the ``check`` outputs on paper.json at reduced sample counts, with

@@ -6,7 +6,8 @@ parsed, not run: every name it imports from ``grf_tomo`` must resolve, and
 so must every attribute it reads from a bound ``grf_tomo`` module
 (``gt.load_config``, ``noise.stream_keys``, ``grf_tomo.cli``), from a
 reconstruction plan (``plan.n_sites``), from a configuration
-(``cfg.realizations``) and from a noise model (``cfg.noise.seed``).
+(``cfg.realizations``), from a noise model (``cfg.noise.seed``) and from a
+Hessian scan report (``report.count``).
 """
 
 import ast
@@ -19,7 +20,7 @@ from types import ModuleType
 
 import pytest
 
-from grf_tomo import ExperimentConfig, NoiseModel, ReconstructionPlan
+from grf_tomo import ExperimentConfig, NoiseModel, ReconstructionPlan, ZeroSetReport
 
 ROOT = Path(__file__).resolve().parents[1]
 SCRIPTS = sorted(ROOT.glob("bench/*.py")) + sorted(ROOT.glob("demos/*.py"))
@@ -168,10 +169,44 @@ def _model_reads(tree):
     yield from visit(tree, frozenset({"noise_model"}))
 
 
+def _calls(node, name):
+    """Whether ``node`` is a call of a function or method called ``name``."""
+    return isinstance(node, ast.Call) and getattr(
+        node.func, "id", getattr(node.func, "attr", None)) == name
+
+
+def _report_reads(tree):
+    """Yield ``(line, "ZeroSetReport.<attr>", True or None)`` for each scan report read.
+
+    A report is a name assigned a ``hessian_zero_scan(...)`` call, or the
+    variable of a loop or comprehension over a name assigned a
+    ``hessian_scan_battery(...)`` call.
+    """
+    reports, batteries = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign):
+            names = {t.id for t in node.targets if isinstance(t, ast.Name)}
+            if _calls(node.value, "hessian_zero_scan"):
+                reports |= names
+            elif _calls(node.value, "hessian_scan_battery"):
+                batteries |= names
+    reports |= {node.target.id for node in ast.walk(tree)
+                if isinstance(node, (ast.For, ast.comprehension))
+                and isinstance(node.target, ast.Name)
+                and isinstance(node.iter, ast.Name) and node.iter.id in batteries}
+    known = set(dir(ZeroSetReport)) | {f.name for f in dataclasses.fields(ZeroSetReport)}
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+                and isinstance(node.value, ast.Name) and node.value.id in reports):
+            yield (node.lineno, f"ZeroSetReport.{node.attr}",
+                   True if node.attr in known else None)
+
+
 @pytest.mark.parametrize("script", SCRIPTS, ids=lambda p: str(p.relative_to(ROOT)))
 def test_library_names_resolve(script):
     tree = ast.parse(script.read_text(), filename=str(script))
-    uses = list(_library_uses(tree)) + list(_plan_reads(tree)) + list(_model_reads(tree))
+    uses = (list(_library_uses(tree)) + list(_plan_reads(tree)) + list(_model_reads(tree))
+            + list(_report_reads(tree)))
     missing = [f"{script.name}:{line}: {name}" for line, name, value in uses if value is None]
     assert not missing, "names the library no longer has:\n" + "\n".join(missing)
 
@@ -229,3 +264,23 @@ def test_guard_sees_the_config_and_noise_model_reads():
         (1, "ExperimentConfig.no_such_field"), (2, "ExperimentConfig.n_views"),
         (4, "NoiseModel.delta_s"), (8, "NoiseModel.delta_s"),
         (12, "NoiseModel.no_such_property")]
+
+
+def test_guard_sees_the_report_reads():
+    # the traced run's reads of a battery's reports and of a single scan's
+    # report are found and resolve, and a field the report does not have is
+    # reported
+    traced = list(_report_reads(ast.parse((ROOT / "bench" / "traced.py").read_text())))
+    assert {"ZeroSetReport.degenerate", "ZeroSetReport.count"} <= {name for _, name, _ in traced}
+    assert all(value for _, _, value in traced)
+    gone = ast.parse(textwrap.dedent("""\
+        report = analysis.hessian_zero_scan(geometry, x0, direction)
+        report.resolution
+        reports = hessian_scan_battery(geometry, x0, directions)
+        counts = [r.count for r in reports if r.no_such_field]
+        for scan in reports:
+            scan.roots, scan.resolution
+        """))
+    assert sorted((line, name) for line, name, value in _report_reads(gone) if value is None) == [
+        (2, "ZeroSetReport.resolution"), (4, "ZeroSetReport.no_such_field"),
+        (6, "ZeroSetReport.resolution")]

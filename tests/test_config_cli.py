@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import hashlib
 import json
 import os
@@ -108,6 +109,17 @@ class TestConfigValidation:
         assert cfg.noise.n_views == n_views
         assert cfg.noise.delta_s == TWO_PI / n_views
         assert cfg.to_dict()["experiment"]["n_views"] == n_views
+
+    @pytest.mark.parametrize("name", ["paper", "ci"])
+    def test_noise_model_owns_step_and_seed(self, name):
+        # the configuration reads its detector step and seed from the noise
+        # model, so a replaced model leaves no stale copy behind
+        for cfg in (load_config(preset_path(name)), load_config(preset_path(name), seed=3)):
+            assert cfg.eps == cfg.noise.eps and cfg.seed == cfg.noise.seed
+        assert cfg.seed == 3
+        moved = dataclasses.replace(cfg, noise=dataclasses.replace(cfg.noise, seed=7, eps=0.025))
+        assert moved.seed == 7 and moved.eps == 0.025
+        assert np.array_equal(moved.points, moved.center + 0.025 * moved.offsets)
 
     def test_malformed_json_reports_byte_offset(self, tmp_path):
         path = tmp_path / "broken.json"

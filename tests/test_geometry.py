@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from grf_tomo import ConeBeamGeometry, DegenerateProjectionError, Radon2DGeometry
-from conftest import admissible_points
+from conftest import Radon2DWithGradient, admissible_points
 
 
 class TestSourcePosition:
@@ -16,6 +16,10 @@ class TestSourcePosition:
     def test_invalid_radius(self):
         with pytest.raises(ValueError):
             ConeBeamGeometry(radius=0.0)
+        # True compares as 1, so only a type check keeps it out
+        for true in (True, np.True_):
+            with pytest.raises(ValueError, match="radius"):
+                ConeBeamGeometry(radius=true)
 
 
 class TestProject:
@@ -129,4 +133,5 @@ class TestRadon2D:
         geo = Radon2DGeometry()
         alphas = np.linspace(0, 2 * np.pi, 9, endpoint=False)
         assert geo.projection([1.0, 2.0], alphas).shape == (9, 1)
-        assert geo.project_gradient([1.0, 2.0], alphas).shape == (9, 1, 2)
+        # the Jacobian lives in the tests, the only callers of it
+        assert Radon2DWithGradient().project_gradient([1.0, 2.0], alphas).shape == (9, 1, 2)

@@ -85,6 +85,12 @@ class TestSpec:
             KernelSpec(half_width=-1.0)
         with pytest.raises(ValueError):
             KernelSpec(exponent=0)
+        # True compares as 1, so only a type check keeps it out
+        for true in (True, np.True_):
+            with pytest.raises(ValueError, match="half_width"):
+                KernelSpec(half_width=true)
+            with pytest.raises(ValueError, match="exponent"):
+                KernelSpec(exponent=true)
 
     def test_smoothness_is_exponent_plus_one(self):
         assert KernelSpec(2.5, 3).smoothness == 4

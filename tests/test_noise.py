@@ -33,12 +33,15 @@ class TestModelValidation:
     def test_rejects_bad_parameters(self):
         # n_views counts the views of one turn, so only a whole number >= 1
         # closes it; a fractional seed would silently draw its floor's noise,
-        # and an infinite step makes every draw nan
-        for eps, n_views, seed in [
-                (0.0, 500, 1), (np.inf, 500, 1), (np.nan, 500, 1),
-                (0.05, 0, 1), (0.05, -1, 1), (0.05, 2.5, 1), (0.05, True, 1),
-                (0.05, 500, -2), (0.05, 500, 2**64), (0.05, 500, 1.7), (0.05, 500, True)]:
-            with pytest.raises(ValueError):
+        # an infinite step makes every draw nan, and True would count as 1
+        for eps, n_views, seed, name in [
+                (0.0, 500, 1, "eps"), (np.inf, 500, 1, "eps"), (np.nan, 500, 1, "eps"),
+                (True, 500, 1, "eps"), (np.True_, 500, 1, "eps"),
+                (0.05, 0, 1, "n_views"), (0.05, -1, 1, "n_views"), (0.05, 2.5, 1, "n_views"),
+                (0.05, True, 1, "n_views"),
+                (0.05, 500, -2, "seed"), (0.05, 500, 2**64, "seed"), (0.05, 500, 1.7, "seed"),
+                (0.05, 500, True, "seed")]:
+            with pytest.raises(ValueError, match=name):
                 NoiseModel(eps=eps, n_views=n_views, seed=seed)
 
     def test_index_errors(self, noise_model):

@@ -419,11 +419,26 @@ def test_einsum_term_sum_is_sequential(width, rows, zeros, seed):
     assert out.tobytes() == expected.tobytes()
 
 
+# sha256 of the count, mean and comoment matrix of a fixed 2,500 x 3 sample,
+# which the default chunk merges from three chunks; taken while the chunk size
+# was an argument of streaming_moments
+GOLDEN_MOMENTS = "ced5f3e6e33fb19a72ce22e7dd4affb90f70cec28dec887aa04ba63840f22425"
+
+
 class TestStreamingMoments:
-    def test_matches_two_pass(self):
+    def test_golden_chunk_merge(self):
+        rng = np.random.default_rng(11)
+        samples = rng.normal(loc=[1.0, -2.0, 0.5], scale=[1.0, 2.0, 0.5], size=(2500, 3))
+        count, mean, com = streaming_moments(samples)
+        assert count == 2500 > recon._MOMENT_CHUNK
+        digest = hashlib.sha256(np.int64(count).tobytes() + mean.tobytes() + com.tobytes())
+        assert digest.hexdigest() == GOLDEN_MOMENTS
+
+    def test_matches_two_pass(self, monkeypatch):
+        monkeypatch.setattr(recon, "_MOMENT_CHUNK", 256)
         rng = np.random.default_rng(8)
         samples = rng.normal(size=(5003, 3)) @ np.diag([1.0, 2.0, 0.5])
-        count, mean, com = streaming_moments(samples, chunk=256)
+        count, mean, com = streaming_moments(samples)
         assert count == 5003
         assert_allclose(mean, samples.mean(axis=0), rtol=1e-12, atol=1e-14)
         assert_allclose(com / (count - 1), np.cov(samples.T, ddof=1),
