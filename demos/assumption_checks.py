@@ -20,24 +20,28 @@ Run:
 import numpy as np
 
 from grf_tomo import (
-    ConeBeamGeometry,
     Radon2DGeometry,
     degeneracy_tolerance_scan,
     hessian_scan_battery,
     hessian_zero_scan,
+    load_config,
 )
+from grf_tomo.config import preset_path
 
-geometry = ConeBeamGeometry(radius=10.0)
+# geometry and center of the bundled paper preset
+config = load_config(preset_path("paper"))
+geometry = config.geometry
+center = config.center
 
 # --- projected-orbit identity ------------------------------------------------
 count = 5000
 res = geometry.ellipse_residual(*geometry.ellipse_sample(count, seed=7))
 print(f"projected-orbit identity over {count} random points: "
-      f"max |residual| = {np.max(np.abs(res)):.2e} (scale R^4 = {10.0**4:.0f})")
+      f"max |residual| = {np.max(np.abs(res)):.2e} (scale R^4 = {geometry.radius**4:.0f})")
 
 # --- Hessian zero scans --------------------------------------------------
 directions = [[np.cos(a), np.sin(a)] for a in np.arange(8) * np.pi / 4]
-for point in ([2.7, -3.1, 0.8], [1.0, 1.0, 0.0]):
+for point in (center.tolist(), [1.0, 1.0, 0.0]):
     reports = hessian_scan_battery(geometry, point, directions)
     flagged = [r for r in reports if r.degenerate]
     if flagged:
@@ -54,7 +58,6 @@ print(f"\n2D parallel-beam model at (2, 1): {report.count} Hessian zeros at "
       f"angles {np.round(report.roots, 4)}")
 
 # --- directional-degeneracy fractions -------------------------------------
-center = np.array([2.7, -3.1, 0.8])
 tols = [2e-2, 1e-2, 5e-3, 2.5e-3]
 
 generic = np.random.default_rng(7).normal(size=3)

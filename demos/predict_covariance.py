@@ -14,11 +14,14 @@ Run:
 
 import numpy as np
 
-from grf_tomo import ConeBeamGeometry, Kernel, KernelSpec, CovariancePredictor
+from grf_tomo import CovariancePredictor, Kernel, load_config
+from grf_tomo.config import preset_path
 
-geometry = ConeBeamGeometry(radius=10.0)
-kernel = Kernel(KernelSpec(half_width=2.5, exponent=3))
-center = np.array([2.7, -3.1, 0.8])
+# geometry, kernel, center and offsets of the bundled paper preset
+config = load_config(preset_path("paper"))
+geometry = config.geometry
+kernel = Kernel(config.kernel)
+center = config.center
 
 predictor = CovariancePredictor(geometry, kernel, center)
 
@@ -26,12 +29,7 @@ print(f"expansion point x0 = {center}, trajectory radius R = {geometry.radius}")
 print(f"pointwise error variance C(0) = {predictor.variance():.6f}")
 print()
 
-offsets = np.array([
-    [2.159, 3.075, -0.418],
-    [2.546, -2.974, 0.983],
-    [0.0, 0.0, 0.0],
-])
-matrix = predictor.covariance_matrix(offsets)
+matrix = predictor.covariance_matrix(config.offsets)
 print("covariance matrix over three local offsets (units of the detector step):")
 for row in matrix:
     print("   " + "  ".join(f"{v: .6f}" for v in row))

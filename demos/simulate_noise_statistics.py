@@ -14,38 +14,31 @@ Run:
 import numpy as np
 
 from grf_tomo import (
-    ConeBeamGeometry,
     CovariancePredictor,
     Kernel,
-    KernelSpec,
-    NoiseModel,
     ReconstructionPlan,
     gaussian_on_bins,
     histogram_density,
     density_mismatch,
+    load_config,
 )
+from grf_tomo.config import preset_path
 
-geometry = ConeBeamGeometry(radius=10.0)
-kernel = Kernel(KernelSpec(half_width=2.5, exponent=3))
-center = np.array([2.7, -3.1, 0.8])
-eps = 0.05
-noise = NoiseModel(eps=eps, n_views=500, seed=20240601)
+# geometry, kernel, points, detector step, views and seed of the bundled
+# paper preset, at fewer realizations
+config = load_config(preset_path("paper"), realizations=4000)
+geometry = config.geometry
+kernel = Kernel(config.kernel)
+points = config.points
 
-offsets = np.array([
-    [2.159, 3.075, -0.418],
-    [2.546, -2.974, 0.983],
-    [0.0, 0.0, 0.0],
-])
-points = center + eps * offsets
-
-realizations = 4000
-plan = ReconstructionPlan(geometry, kernel, noise, points)
+realizations = config.realizations
+plan = ReconstructionPlan(geometry, kernel, config.noise, points)
 print(f"reconstructing {realizations} noise realizations at {len(points)} points")
 print(f"({plan.n_sites} detector sites touched per realization)")
 samples = plan.reconstruct(np.arange(realizations), threads=4)
 
-predictor = CovariancePredictor(geometry, kernel, center)
-predicted = predictor.covariance_matrix(offsets)
+predictor = CovariancePredictor(geometry, kernel, config.center)
+predicted = predictor.covariance_matrix(config.offsets)
 exact = plan.exact_covariance()        # finite-step moments, no MC error
 observed = np.cov(samples.T, ddof=1)
 
@@ -58,7 +51,7 @@ mismatch = np.sum(np.abs(observed - predicted)) / np.sum(np.abs(predicted))
 print(f"covariance l1 mismatch vs the limit: {mismatch:.3f}")
 
 # histogram at the patch center against the predicted Gaussian
-hist = histogram_density(samples[:, 2], bins=21)
+hist = histogram_density(samples[:, 2], bins=config.bins)
 pdf = gaussian_on_bins(0.0, predicted[2, 2], hist)
 print(f"\n1D density mismatch at the center: "
       f"{density_mismatch(hist.density, pdf):.3f}")

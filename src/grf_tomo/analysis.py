@@ -98,23 +98,17 @@ def hessian_scan_battery(geometry, x0, directions, resolution=2000):
     grid = np.arange(resolution) * step
     ys = np.append(grid, period)
     plus, mid, minus = (geometry.projection(x0, y) for y in (grid + h, grid, grid - h))
-
-    reports, found, brackets = [], [], []
-    for direction in units:
-        d2 = (plus @ direction - 2.0 * (mid @ direction) + minus @ direction) / h**2
-        max_abs = float(np.max(np.abs(d2)))
-        if max_abs <= _DEGENERATE_TOL:
-            reports.append(ZeroSetReport(np.array([]), True, direction, max_abs))
-            continue
-        # wrap around so sign changes across the period boundary are caught
-        vals = np.append(d2, d2[0])
-        crossings = np.nonzero(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0)[0]
-        # grid points that are exact zeros (between two opposite signs they are
-        # also found by bisection; isolated exact zeros are rare and kept)
-        reports.append(ZeroSetReport(grid[d2 == 0.0], False, direction, max_abs))
-        found.append((reports[-1], len(brackets), len(brackets) + crossings.size))
-        brackets += [(direction, ys[i], ys[i + 1], vals[i]) for i in crossings]
-    along, a, b, fa = (np.array([bracket[j] for bracket in brackets]) for j in range(4))
+    # a column per direction, from matrix-vector products: a matrix product may round otherwise
+    d2 = np.empty((resolution, len(units)))
+    for col, direction in zip(d2.T, units):
+        col[:] = (plus @ direction - 2.0 * (mid @ direction) + minus @ direction) / h**2
+    max_abs = np.max(np.abs(d2), axis=0)
+    degenerate = max_abs <= _DEGENERATE_TOL
+    # wrap around so sign changes across the period boundary are caught; the
+    # brackets run direction by direction, each in grid order
+    vals = np.vstack([d2, d2[:1]])
+    k, i = np.nonzero(((np.sign(vals[:-1]) * np.sign(vals[1:]) < 0) & ~degenerate).T)
+    along, a, b, fa = np.array(units)[k], ys[i], ys[i + 1], vals[i, k]
 
     def fn(y):
         return np.sum(geometry.projection(x0, y) * along, axis=-1)
@@ -131,9 +125,13 @@ def hessian_scan_battery(geometry, x0, directions, resolution=2000):
         fa = np.where(live & ~left, fm, fa)
         live &= ~(b - a < 1e-13 * period)
     roots = 0.5 * (a + b) % period
-    for report, first, last in found:
-        report.roots = _sorted_unique(np.concatenate([roots[first:last], report.roots]))
-    return reports
+    # a grid point where the difference is exactly zero is a root that no
+    # bracket holds; a degenerate direction has no roots
+    return [ZeroSetReport(np.array([]) if flat else
+                          _sorted_unique(np.concatenate([roots[k == j], grid[col == 0.0]])),
+                          bool(flat), direction, float(peak))
+            for j, (direction, col, peak, flat)
+            in enumerate(zip(units, d2.T, max_abs, degenerate))]
 
 
 def degeneracy_tolerance_scan(geometry, x0, offset, tols, samples=20000):
@@ -175,6 +173,8 @@ def degeneracy_tolerance_scan(geometry, x0, offset, tols, samples=20000):
 
 
 def _lattice(eps, box):
+    if not eps > 0:
+        raise ValueError("eps must be > 0")
     box = np.atleast_2d(np.asarray(box, dtype=float))
     if box.shape[1] != 2 or np.any(box[:, 1] <= box[:, 0]):
         raise ValueError("box must be a list of nondegenerate (lo, hi) pairs")
@@ -194,8 +194,6 @@ def weyl_sum(fn, eps, box):
     ``(m, N)`` otherwise) and returns real phases.  ``box`` is a pair
     ``(lo, hi)`` or a sequence of such pairs.
     """
-    if not eps > 0:
-        raise ValueError("eps must be > 0")
     pts, ndim = _lattice(eps, box)
     phases = np.asarray(fn(pts), dtype=float)
     return eps**ndim * complex(np.sum(np.exp(2j * np.pi * phases / eps)))
@@ -203,7 +201,7 @@ def weyl_sum(fn, eps, box):
 
 @dataclass
 class WeylDecayResult:
-    """Exponential sums over a family of shrinking steps and their decay rate.
+    """Exponential-sum magnitudes over a family of shrinking steps and their decay rate.
 
     ``slope`` is the least-squares slope of ``log |sum|`` against
     ``log(1/eps)``: a magnitude decaying like ``eps^alpha`` gives slope
@@ -211,7 +209,6 @@ class WeylDecayResult:
     """
 
     eps_values: np.ndarray
-    sums: np.ndarray
     magnitudes: np.ndarray
     slope: float
 
@@ -223,9 +220,8 @@ def weyl_decay_table(fn, box, exponents=(-2.0, -2.5, -3.0, -3.5, -4.0, -4.5)):
     :class:`WeylDecayResult` with the fitted decay slope.
     """
     eps_values = 10.0 ** np.asarray(exponents, dtype=float)
-    sums = np.array([weyl_sum(fn, e, box) for e in eps_values])
-    magnitudes = np.abs(sums)
-    return WeylDecayResult(eps_values, sums, magnitudes, fit_log_slope(eps_values, magnitudes))
+    magnitudes = np.abs([weyl_sum(fn, e, box) for e in eps_values])
+    return WeylDecayResult(eps_values, magnitudes, fit_log_slope(eps_values, magnitudes))
 
 
 def fit_log_slope(eps_values, magnitudes):
@@ -251,8 +247,6 @@ def equidistributed_average(gn, phase_map, eps, box):
     shrinks.  ``gn`` receives the scaled phases with the same shape the
     phase map produced.
     """
-    if not eps > 0:
-        raise ValueError("eps must be > 0")
     pts, ndim = _lattice(eps, box)
     values = np.asarray(gn(np.asarray(phase_map(pts), dtype=float) / eps), dtype=float)
     return eps**ndim * float(np.sum(values))

@@ -12,7 +12,7 @@ from __future__ import annotations
 import copy
 import json
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -229,8 +229,21 @@ class ExperimentConfig:
         return int(hits[0]) if hits.size else None
 
     def to_dict(self):
-        """The validated document, defaults filled in; :func:`from_dict` rebuilds ``self``."""
-        return copy.deepcopy(self._document)
+        """The validated document, defaults filled in, with each field that an
+        attribute owns read from that attribute; :func:`from_dict` rebuilds ``self``."""
+        data = copy.deepcopy(self._document)
+        owned = {"geometry": asdict(self.geometry), "kernel": asdict(self.kernel),
+                 "noise": {"seed": self.noise.seed},
+                 "experiment": {"center": self.center, "offsets": self.offsets,
+                                "detector_step": self.eps, "n_views": self.noise.n_views,
+                                "realizations": self.realizations, "bins": self.bins},
+                 "prediction": {"panels": self.panels, "tolerance": self.tolerance}}
+        for section, fields in owned.items():
+            for key, value in fields.items():
+                # an equal value keeps the document's spelling: 10 stays 10, not 10.0
+                if not np.array_equal(data[section][key], value):
+                    data[section][key] = np.asarray(value).tolist()
+        return data
 
 
 def _section(data, schema, path="", doc=None):

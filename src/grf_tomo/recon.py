@@ -77,27 +77,19 @@ def _gather_table(site, weight, counts, n_sites, block):
         own = site[first[l]:first[l + 1]]
         assert np.all(np.diff(own) > 0), "each point's terms must follow site order"
         offsets[l] = first[l] + np.searchsorted(own, lows)
-    sizes = np.diff(offsets, axis=1)                            # (L, blocks)
-    filled = sizes > 0
-    # each nonempty segment takes a head row and its terms, block-major
-    rows = (sizes + filled).T.ravel()
-    head = (np.cumsum(rows) - rows).reshape(n_blocks, n_points).T
-    index = np.empty(site.size + np.count_nonzero(filled), dtype=np.int32)
+    # each nonempty segment takes a head row and its terms
+    index = np.empty(site.size + np.count_nonzero(np.diff(offsets)), dtype=np.int32)
     gather = np.empty(index.size)
-    index[head[filled]] = block + np.nonzero(filled)[0]
-    gather[head[filled]] = 1.0
-    # term t of point l in block b goes to head[l, b] + 1 + (t - offsets[l, b]);
-    # one point at a time keeps the int64 temporaries a point's size
-    for l in range(n_points):
-        dest = np.repeat(head[l] + 1 - offsets[l, :-1], sizes[l])
-        dest += np.arange(first[l], first[l + 1])
-        index[dest] = site[first[l]:first[l + 1]] - np.repeat(lows[:-1], sizes[l])
-        gather[dest] = weight[first[l]:first[l + 1]]
-    segments = [[] for _ in range(n_blocks)]
-    starts = head.T[filled.T]
-    for b, l, start, stop in zip(*(a.tolist() for a in np.nonzero(filled.T)),
-                                 starts.tolist(), (starts + sizes.T[filled.T] + 1).tolist()):
-        segments[b].append((l, start, stop))
+    segments, start = [[] for _ in range(n_blocks)], 0
+    for b, lo in enumerate(lows[:-1].tolist()):
+        for l, (a, z) in enumerate(offsets[:, b:b + 2].tolist()):
+            if a < z:
+                stop = start + 1 + z - a
+                index[start], gather[start] = block + l, 1.0
+                index[start + 1:stop] = site[a:z] - lo
+                gather[start + 1:stop] = weight[a:z]
+                segments[b].append((l, start, stop))
+                start = stop
     return index, gather, segments
 
 

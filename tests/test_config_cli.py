@@ -121,6 +121,22 @@ class TestConfigValidation:
         assert moved.seed == 7 and moved.eps == 0.025
         assert np.array_equal(moved.points, moved.center + 0.025 * moved.offsets)
 
+    @pytest.mark.parametrize("name", ["paper", "ci"])
+    def test_document_echoes_replaced_objects(self, name):
+        # to_dict reads each field an object owns from that object, so the
+        # echo of a replaced noise model or center rebuilds the replaced run
+        cfg = load_config(preset_path(name))
+        moved = dataclasses.replace(cfg, noise=dataclasses.replace(cfg.noise, seed=7, eps=0.025),
+                                    center=cfg.center + 0.5, realizations=32)
+        again = from_dict(moved.to_dict())
+        assert (again.seed, again.eps, again.realizations) == (7, 0.025, 32)
+        assert np.array_equal(again.points, moved.points)
+        assert moved.to_dict()["experiment"]["center"] == (cfg.center + 0.5).tolist()
+        # an unreplaced config echoes its document, int spelling included
+        data = base_config()
+        data["geometry"]["radius"] = 10
+        assert type(from_dict(data).to_dict()["geometry"]["radius"]) is int
+
     def test_malformed_json_reports_byte_offset(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text('{"geometry": {')
