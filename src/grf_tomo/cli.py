@@ -190,10 +190,9 @@ def cmd_check(config, threads):
         }
         if degenerate:
             entry["message"] = (
-                "projection Hessian vanishes identically along directions "
-                f"{degenerate}; the point lies in the source plane "
-                "(x3 = 0), where the limit covariance is not defined"
-            )
+                f"projection Hessian vanishes identically along directions {degenerate}"
+                + ("; the point lies in the source plane (x3 = 0), where the limit "
+                   "covariance is not defined" if point[2] == 0 else ""))
         battery.append(entry)
     report["hessian_scans"] = battery
 

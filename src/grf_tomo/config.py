@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import copy
 import json
+import sys
 import warnings
 from dataclasses import asdict, dataclass, field
 from typing import Callable, NamedTuple
@@ -35,7 +36,8 @@ class ConfigError(ValueError):
 
 
 def _finite_number(v):
-    return isinstance(v, (int, float)) and not isinstance(v, bool) and bool(np.isfinite(v))
+    # exact for an int of any size, so one beyond float range fails here, not in float()
+    return isinstance(v, (int, float)) and not isinstance(v, bool) and abs(v) <= sys.float_info.max
 
 
 def _positive(v):
@@ -331,10 +333,10 @@ def _validate_admissibility(config):
 def load(path, seed=None, realizations=None):
     """Load and validate a JSON configuration file.
 
-    ``seed`` and ``realizations``, when given, replace the document's
-    ``noise.seed`` and ``experiment.realizations`` before the one
-    :func:`from_dict` call.  Raises :class:`ConfigError` with the byte offset
-    for malformed JSON and with a dotted field path for schema violations.
+    ``seed`` and ``realizations``, when given, are written into the document
+    (``noise.seed``, ``experiment.realizations``) as an edit of the file would
+    be, before the one :func:`from_dict` call.  Raises :class:`ConfigError` with
+    the byte offset for malformed JSON and a dotted path for schema violations.
     """
     with open(path, "rb") as fh:
         text = fh.read()
@@ -344,13 +346,10 @@ def load(path, seed=None, realizations=None):
         raise ConfigError(
             f"{path}: invalid JSON at byte offset {exc.pos}: {exc.msg}"
         ) from exc
-    if seed is not None or realizations is not None:
-        # validated first, so that both sections exist to take the values
-        data = _section(data, SCHEMA)
-        if seed is not None:
-            data["noise"]["seed"] = seed
-        if realizations is not None:
-            data["experiment"]["realizations"] = realizations
+    for section, key, value in (("noise", "seed", seed),
+                                ("experiment", "realizations", realizations)):
+        if value is not None and isinstance(data, dict) and isinstance(data.get(section), dict):
+            data[section][key] = value
     # the smoothness warning names the file's kernel.exponent line
     line = text[:max(text.find(b'"exponent"'), 0)].count(b"\n") + 1
     return from_dict(data, source=(str(path), line))

@@ -36,7 +36,7 @@ class ConeBeamGeometry:
     Parameters
     ----------
     radius : float
-        Source-trajectory radius ``R > 0``.
+        Source-trajectory radius ``R > 0``, finite.
     admissible_fraction : float, optional
         Reconstruction points must satisfy ``hypot(x1, x2) <= fraction * R``;
         checked by :meth:`check_admissible`, not per projection.
@@ -48,8 +48,8 @@ class ConeBeamGeometry:
     parameter_period = TWO_PI
 
     def __post_init__(self):
-        if isinstance(self.radius, (bool, np.bool_)) or not self.radius > 0:
-            raise ValueError(f"radius must be a number > 0, got {self.radius!r}")
+        if isinstance(self.radius, (bool, np.bool_)) or not 0 < self.radius < np.inf:
+            raise ValueError(f"radius must be a finite number > 0, got {self.radius!r}")
         if not 0 < self.admissible_fraction < 1:
             raise ValueError("admissible_fraction must lie in (0, 1)")
 

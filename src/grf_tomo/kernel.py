@@ -54,7 +54,7 @@ class KernelSpec:
     ----------
     half_width : float
         Half-width ``a`` of the smoothing bump, in detector-pixel units.
-        Must be positive.  The kernel support radius is ``1 + half_width``.
+        Must be positive and finite.  The kernel support radius is ``1 + half_width``.
     exponent : int
         Smoothness exponent ``l >= 1`` of the bump ``(1 - (t/a)^2)^l``.
         The kernel has ``l + 1`` continuous derivatives.
@@ -64,8 +64,8 @@ class KernelSpec:
     exponent: int = 3
 
     def __post_init__(self):
-        if isinstance(self.half_width, (bool, np.bool_)) or not self.half_width > 0:
-            raise ValueError(f"half_width must be a number > 0, got {self.half_width!r}")
+        if isinstance(self.half_width, (bool, np.bool_)) or not 0 < self.half_width < np.inf:
+            raise ValueError(f"half_width must be a finite number > 0, got {self.half_width!r}")
         if isinstance(self.exponent, (bool, np.bool_)) or int(self.exponent) != self.exponent \
                 or self.exponent < 1:
             raise ValueError(f"exponent must be an integer >= 1, got {self.exponent!r}")

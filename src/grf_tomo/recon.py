@@ -210,12 +210,16 @@ class ReconstructionPlan:
         site_var = (self._site_scale * 2.0**52)**2 / 3.0
         return self._prefactor**2 * (dense * site_var[:, None]).T @ dense
 
-    def _run_batch(self, realizations, bits, draws):
-        """Running sums, shape (L, width), of a batch of two or more realizations.
+    def _run_batch(self, batch, bits, draws):
+        """Running sums, shape (L, batch.size), of a batch of realizations.
 
-        ``bits`` (uint64) and ``draws`` (float64) are flat buffers of at least
-        ``_block + 1`` and ``_block + L`` rows of the batch's width.
+        ``bits`` (uint64) and ``draws`` (float64) are flat buffers of
+        ``_block + 1`` and ``_block + L`` rows of ``_BATCH`` columns.
         """
+        # a one-column einsum is a dot product, summed in several partial
+        # accumulators; two columns keep the sequential order, and so the
+        # bits of any other batch
+        realizations = np.resize(batch, max(batch.size, 2))
         width = realizations.size
         bits = bits[:(self._block + 1) * width].reshape(-1, width)
         draws = draws[:(self._block + len(self.points)) * width].reshape(-1, width)
@@ -242,7 +246,7 @@ class ReconstructionPlan:
                 # another in row order, rounding each product first
                 np.einsum("i,ij->j", self._gather_weight[a:b], terms[:b - a], out=sums[l],
                           optimize=False)
-        return sums
+        return sums[:, :batch.size]
 
     def reconstruct(self, realizations, threads=None):
         """Reconstruction values for the given realization indices.
@@ -263,23 +267,16 @@ class ReconstructionPlan:
             raise IndexError("realization index must be >= 0")
         out = np.empty((realizations.size, len(self.points)))
         starts = range(0, realizations.size, _BATCH)
-        lock = threading.Lock()
-        pending = iter(starts)
-        errors = []
+        n = max(min(threads or 1, len(starts)), 1)
+        errors = []     # once one is here, from any thread, each worker stops
 
-        def work(bits, draws):
+        def work(own, bits, draws):
             try:
-                while not errors:
-                    with lock:
-                        start = next(pending, None)
-                    if start is None:
+                for start in own:
+                    if errors:
                         return
                     batch = realizations[start:start + _BATCH]
-                    # a one-column einsum is a dot product, summed in several
-                    # partial accumulators; two columns keep the sequential
-                    # order, and so the bits of any other batch
-                    sums = self._run_batch(np.resize(batch, max(batch.size, 2)), bits, draws)
-                    np.multiply(sums[:, :batch.size].T, self._prefactor,
+                    np.multiply(self._run_batch(batch, bits, draws).T, self._prefactor,
                                 out=out[start:start + batch.size])
             except BaseException as exc:    # re-raised by the calling thread
                 errors.append(exc)
@@ -287,18 +284,19 @@ class ReconstructionPlan:
         # the calling thread allocates every worker's buffers: a worker
         # thread's own allocations would open a malloc arena apiece and
         # raise the peak resident size
-        width = max(min(realizations.size, _BATCH), 2)
-        buffers = [(np.empty((self._block + 1) * width, dtype=np.uint64),
-                    np.empty((self._block + len(self.points)) * width))
-                   for _ in range(max(min(threads or 1, len(starts)), 1))]
-        if len(buffers) == 1:
-            work(*buffers[0])
-        else:
-            workers = [threading.Thread(target=work, args=pair) for pair in buffers]
-            for worker in workers:
-                worker.start()
+        workers = [threading.Thread(target=work, args=(
+            starts[w::n], np.empty((self._block + 1) * _BATCH, dtype=np.uint64),
+            np.empty((self._block + len(self.points)) * _BATCH))) for w in range(n)]
+        for worker in workers:
+            worker.start()
+        try:
             for worker in workers:
                 worker.join()
+        except BaseException as exc:        # an interrupt while waiting
+            errors.append(exc)
+            for worker in workers:
+                worker.join()
+            raise
         if errors:
             raise errors[0]
         return out

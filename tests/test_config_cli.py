@@ -201,6 +201,23 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="experiment.realizations"):
             load_config(path, realizations=0)
 
+    def test_override_is_an_edit(self, tmp_path):
+        # an override stands in for the file's value before validation, so a
+        # file that says 1 loads with --realizations 64, as an edit to 64 would
+        data = base_config()
+        data["experiment"]["realizations"] = 1
+        path = write_config(tmp_path, data)
+        assert load_config(path, realizations=64).realizations == 64
+        with pytest.raises(ConfigError, match="experiment.realizations"):
+            load_config(path, seed=3)
+        # a document without the section still fails at the section's path
+        del data["noise"]
+        with pytest.raises(ConfigError, match="noise: missing required field"):
+            load_config(write_config(tmp_path, data), seed=3)
+        (tmp_path / "list.json").write_text("[]")
+        with pytest.raises(ConfigError, match="top level: expected a JSON object"):
+            load_config(str(tmp_path / "list.json"), seed=3, realizations=64)
+
     def test_document_keeps_every_schema_field(self, monkeypatch, tmp_path):
         # a field that only SCHEMA and from_dict know must still reach the
         # manifest and survive --seed and --realizations overrides
@@ -303,6 +320,20 @@ class TestCli:
         assert entry["degenerate"] is True
         assert "x3 = 0" in entry["message"]
 
+    def test_check_names_what_it_measures_off_the_source_plane(self, tmp_path):
+        # on the rotation axis every direction is degenerate, yet x3 != 0
+        data = base_config()
+        data["checks"] = {"ellipse_samples": 100, "hessian_points": [[0.0, 0.0, 0.8]],
+                          "hessian_resolution": 1000}
+        path = write_config(tmp_path, data)
+        out = tmp_path / "axis"
+        assert cli.main(["check", "--config", path, "--out", str(out)]) == 0
+        entry = json.loads((out / "checks.json").read_text())["hessian_scans"][0]
+        assert entry["degenerate"] is True and len(entry["root_counts"]) == 8
+        assert entry["message"].startswith(
+            "projection Hessian vanishes identically along directions [[")
+        assert entry["message"].endswith("]]") and "x3" not in entry["message"]
+
     def test_malformed_config_exits_2(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{not json")
@@ -398,6 +429,30 @@ class TestCli:
         assert f"{field}:" in capsys.readouterr().err
         assert not out.exists()
         assert (tmp_path / "file").read_text() == "kept\n"
+
+    @pytest.mark.parametrize("path", [
+        ("geometry", "radius"), ("experiment", "detector_step"), ("experiment", "center", 2),
+        ("experiment", "offsets", 0, 1), ("prediction", "tolerance"),
+        ("checks", "degeneracy_tols", 0), ("assertions", "simulate", "variance_rel"),
+        ("assertions", "predict", "variance", 1),
+    ], ids=lambda path: ".".join(map(str, path)))
+    def test_integer_beyond_float_range_exits_2(self, tmp_path, capsys, path):
+        # JSON reads 1 followed by 400 zeros as an exact int that no float holds
+        data = base_config()
+        data.update(prediction={"tolerance": 1e-4}, checks={"degeneracy_tols": [1e-2]},
+                    assertions={"simulate": {"variance_rel": 0.08},
+                                "predict": {"variance": [0.485, 0.002]}})
+        *parents, key = path
+        target = data
+        for step in parents:
+            target = target[step]
+        target[key] = 10**400
+        out = tmp_path / "o"
+        assert cli.main(["predict", "--config", write_config(tmp_path, data),
+                         "--out", str(out)]) == 2
+        field = ".".join(step for step in path if isinstance(step, str))
+        assert f"{field}: expected" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_scan_without_fields_exits_2(self, tmp_path, capsys):
         data = base_config()

@@ -16,6 +16,9 @@ class TestSourcePosition:
     def test_invalid_radius(self):
         with pytest.raises(ValueError):
             ConeBeamGeometry(radius=0.0)
+        for radius in (np.inf, np.nan):
+            with pytest.raises(ValueError, match="radius"):
+                ConeBeamGeometry(radius=radius)
         # True compares as 1, so only a type check keeps it out
         for true in (True, np.True_):
             with pytest.raises(ValueError, match="radius"):

@@ -85,6 +85,10 @@ class TestSpec:
             KernelSpec(half_width=-1.0)
         with pytest.raises(ValueError):
             KernelSpec(exponent=0)
+        # an infinite half-width would make a kernel that is 0 everywhere
+        for width in (np.inf, np.nan):
+            with pytest.raises(ValueError, match="half_width"):
+                KernelSpec(half_width=width)
         # True compares as 1, so only a type check keeps it out
         for true in (True, np.True_):
             with pytest.raises(ValueError, match="half_width"):
