@@ -21,6 +21,7 @@ import numpy as np
 from .geometry import ConeBeamGeometry, DegenerateProjectionError
 from .kernel import KernelSpec
 from .noise import NoiseModel
+from .recon import _MAX_VIEWS
 
 # The angle-average limit needs the kernel to have more continuous
 # derivatives than max(N + gamma + 1, n/2) = 5 for this reconstruction;
@@ -176,7 +177,8 @@ SCHEMA = {
         "center": Field(REQUIRED, _numbers(3), "a finite 3-vector"),
         "offsets": Field(REQUIRED, _list_of(_numbers(3)), "a nonempty list of finite 3-vectors"),
         "detector_step": Field(REQUIRED, _positive, "a number > 0"),
-        "n_views": Field(REQUIRED, _integer(1), "an integer >= 1"),
+        "n_views": Field(REQUIRED, lambda v: _integer(1)(v) and v <= _MAX_VIEWS,
+                         f"an integer in [1, {_MAX_VIEWS}]"),
         "realizations": Field(REQUIRED, _integer(2), "an integer >= 2"),
         "bins": Field(REQUIRED, _integer(2), "an integer >= 2"),
     }),

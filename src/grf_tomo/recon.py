@@ -25,6 +25,7 @@ from . import noise as noise_mod
 from .kernel import Kernel, _sorted_unique
 
 _INDEX_BIAS = 1 << 20          # detector indices packed as 21-bit biased ints
+_MAX_VIEWS = 1 << 21           # view indices packed above them, below the int64 sign bit
 # Realizations per batch and sites per hashing block.  Neither fixes the
 # output bits: each point adds its terms one after another in site order,
 # and every batch width >= 2 and every block size keeps that order.  A
@@ -35,9 +36,12 @@ _INDEX_BIAS = 1 << 20          # detector indices packed as 21-bit biased ints
 # built.
 _BATCH = 128
 _SITE_BLOCK = 512
-# sites per chunk when the plan hashes its site keys and amplitudes; each
-# chunk's temporaries are the size of one batch buffer
-_SITE_CHUNK = _SITE_BLOCK * _BATCH
+# sites per chunk when the plan makes its draw inputs.  About seven arrays
+# of a chunk's size are alive at once (the unpacked indices, the keys and
+# the amplitude's factors); at 8 bytes a site each is 64 KB, below glibc's
+# 128 KB mmap threshold, so the loop reuses freed heap and the build's peak
+# stays near its tables.  Smaller chunks make the build slower
+_SITE_CHUNK = 8192
 # sample rows per chunk of streaming_moments; the merge order, and so the
 # output bits, depend on it
 _MOMENT_CHUNK = 1024
@@ -120,6 +124,9 @@ class ReconstructionPlan:
 
         eps = noise_model.eps
         n_views = noise_model.n_views
+        if n_views > _MAX_VIEWS:
+            raise ValueError(f"n_views must be at most {_MAX_VIEWS}, the packing range "
+                             f"of the view index, got {n_views!r}")
         support = kernel.spec.support
         s = np.arange(n_views) * noise_model.delta_s
 

@@ -454,6 +454,21 @@ class TestCli:
         assert f"{field}: expected" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("n_views", [10**12, 10**400, 2**21 + 1],
+                             ids=["1e12", "1e400", "2^21+1"])
+    def test_view_count_beyond_packing_range_exits_2(self, tmp_path, capsys, n_views):
+        # the plan packs the view index in 21 bits; 10^12 views made load
+        # allocate 7.28 TiB of view angles and 10^400 overflowed np.arange,
+        # each a traceback and exit 1
+        data = base_config()
+        data["experiment"]["n_views"] = n_views
+        out = tmp_path / "o"
+        assert cli.main(["predict", "--config", write_config(tmp_path, data),
+                         "--out", str(out)]) == 2
+        assert "experiment.n_views: expected" in capsys.readouterr().err
+        assert not out.exists()
+        assert config.SCHEMA["experiment"].valid["n_views"].valid(2**21)
+
     def test_scan_without_fields_exits_2(self, tmp_path, capsys):
         data = base_config()
         data["checks"] = {"covariance_scan": {"radii": [0.0, 1.0]}}

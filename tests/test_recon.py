@@ -191,17 +191,20 @@ def test_golden_plan_tables():
     assert digests == GOLDEN_PLAN
 
 
-def test_plan_build_holds_little_beyond_its_tables():
-    # the paper points at eps/4 with 2000 views: 184,367 sites.  Keeping every
-    # (L, views, m1, m2) window temporary until the end, the build peaked at
-    # 40 MB, 2.8 times the 14.4 MB of its tables; deleting each as soon as
-    # the tables no longer need it gives 13.1 MB, 1.65 times 8.0 MB, where
-    # windows built point by point read 15.1 MB (1.89 times).  The kernel is
-    # built first, so that its one-time numpy.polynomial import (0.7 MB) is
-    # not counted when this test runs first in its process
+@pytest.mark.parametrize("refine,bound", [(1, 1.40), (4, 1.35)], ids=["eps", "eps/4"])
+def test_plan_build_holds_little_beyond_its_tables(refine, bound):
+    # the paper points at eps / refine with 500 * refine views: 46,226 sites
+    # (tables 1.99 MB) and 184,367 (7.97 MB).  This build's traced peak is at
+    # most 1.36 and 1.26 times its tables.  Each bound fails a build that holds
+    # its temporaries longer: every (L, views, m1, m2) window kept to the
+    # end read 2.8 times at eps/4, windows built point by point 1.89 times,
+    # and draw inputs made in chunks of 65,536 sites 2.72 times at eps and
+    # 1.64 times at eps/4.  The kernel is built first, so that its one-time
+    # numpy.polynomial import (0.7 MB) is not counted when this test runs
+    # first in its process
     cfg = load_preset("paper")
-    eps = cfg.eps / 4
-    noise_model = NoiseModel(eps=eps, n_views=2000, seed=cfg.seed)
+    eps = cfg.eps / refine
+    noise_model = NoiseModel(eps=eps, n_views=500 * refine, seed=cfg.seed)
     points = cfg.center + eps * cfg.offsets
     kernel = Kernel(cfg.kernel)
     tracemalloc.start()
@@ -214,7 +217,33 @@ def test_plan_build_holds_little_beyond_its_tables():
     # a view would keep its whole base alive: np.nonzero(mask)[0] is a
     # stride-32 column of a (terms x 4) array
     assert [name for name, a in tables.items() if a.base is not None] == []
-    assert peak < 1.70 * sum(a.nbytes for a in tables.values())
+    assert peak < bound * sum(a.nbytes for a in tables.values())
+
+
+def test_site_chunk_does_not_change_bits(monkeypatch):
+    # GOLDEN_PLAN pins the draw inputs of the default chunk only; 23113
+    # splits the 46,226 sites into two equal chunks, n_sites + 1 makes one
+    reference = ci_plan(20240601)
+    for chunk in (7, 23113, reference.n_sites + 1):
+        monkeypatch.setattr(recon, "_SITE_CHUNK", chunk)
+        plan = ci_plan(20240601)
+        assert plan._site_round.tobytes() == reference._site_round.tobytes(), chunk
+        assert plan._site_scale.tobytes() == reference._site_scale.tobytes(), chunk
+
+
+def test_view_count_beyond_packing_range_fails_before_projection():
+    # a site packs its view index as j << 42 in an int64, which wraps at
+    # j = 2^21, so 2^21 views is the most a plan takes.  A library caller's
+    # NoiseModel does not pass the schema, so the plan checks it first
+    class Unprojected:
+        def project(self, *args):
+            raise AssertionError("the plan projected the points")
+
+    cfg = load_preset("ci")
+    noise_model = NoiseModel(eps=cfg.eps, n_views=2**21 + 1, seed=cfg.seed)
+    with pytest.raises(ValueError, match="n_views"):
+        ReconstructionPlan(Unprojected(), cfg.kernel, noise_model, cfg.points)
+    assert recon._unpack(np.int64(2**21 - 1) << 42)[0] == 2**21 - 1
 
 
 def test_site_block_does_not_change_bits(monkeypatch):
