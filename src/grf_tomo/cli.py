@@ -160,6 +160,10 @@ def cmd_simulate(config, threads):
 # the direction battery of every Hessian zero-set scan: 8 angles 45 degrees apart
 _HESSIAN_DIRECTIONS = np.stack([np.cos(np.arange(8) * (np.pi / 4)),
                                 np.sin(np.arange(8) * (np.pi / 4))], axis=-1)
+# the tolerance scan of the degeneracy fractions, and the box of the Weyl
+# decay table (base-10 step exponents -2 to -4.5, weyl_decay_table's default)
+_DEGENERACY_TOLS = (1e-2, 5e-3, 2.5e-3, 1.25e-3)
+_WEYL_BOX = (0.2, 0.8)
 
 
 def cmd_check(config, threads):
@@ -197,11 +201,10 @@ def cmd_check(config, threads):
     report["hessian_scans"] = battery
 
     # directional-degeneracy fractions with a tolerance scan
-    tols = checks["degeneracy_tols"]
     offsets = config.offsets[np.any(config.offsets, axis=1)]
     fractions = analysis.degeneracy_tolerance_scan(
-        geometry, config.center, offsets, tols, samples=checks["degeneracy_samples"])
-    scans = [{"offset": offset.tolist(), "tolerances": list(map(float, tols)),
+        geometry, config.center, offsets, _DEGENERACY_TOLS, samples=checks["degeneracy_samples"])
+    scans = [{"offset": offset.tolist(), "tolerances": list(_DEGENERACY_TOLS),
               "fractions": row.tolist()} for offset, row in zip(offsets, fractions)]
     report["degeneracy_fractions"] = scans
 
@@ -210,11 +213,9 @@ def cmd_check(config, threads):
         Radon2DGeometry(), np.array([2.0, 1.0]), np.array([1.0]), resolution=resolution).count
 
     # exponential-sum decay for a quadratic phase with nonresonant slope
-    box = checks["weyl"]["box"]
-    decay = analysis.weyl_decay_table(lambda y: 0.5 * y**2, box,
-                                      exponents=checks["weyl"]["exponents"])
+    decay = analysis.weyl_decay_table(lambda y: 0.5 * y**2, _WEYL_BOX)
     average = analysis.equidistributed_average(
-        lambda r: np.cos(2 * np.pi * r) ** 2, lambda y: 0.5 * y**2, 1e-4, box)
+        lambda r: np.cos(2 * np.pi * r) ** 2, lambda y: 0.5 * y**2, 1e-4, _WEYL_BOX)
     report["weyl"] = {"slope": decay.slope, "eps": decay.eps_values.tolist(),
                       "magnitudes": decay.magnitudes.tolist(),
                       "periodic_average": average}

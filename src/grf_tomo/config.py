@@ -49,8 +49,8 @@ def _integer(least):
     return lambda v: isinstance(v, int) and not isinstance(v, bool) and v >= least
 
 
-def _list_of(each, least=1):
-    return lambda v: isinstance(v, list) and len(v) >= least and all(map(each, v))
+def _list_of(each):
+    return lambda v: isinstance(v, list) and len(v) >= 1 and all(map(each, v))
 
 
 def _numbers(count):
@@ -80,15 +80,7 @@ CHECKS = {
     "hessian_points": Field(lambda doc: [doc["experiment"]["center"]], _list_of(_numbers(3)),
                             "a nonempty list of finite 3-vectors"),
     "hessian_resolution": Field(2000, _integer(1000), "an integer >= 1000"),
-    "degeneracy_tols": Field([1e-2, 5e-3, 2.5e-3, 1.25e-3], _list_of(_positive),
-                             "a nonempty list of positive finite numbers"),
     "degeneracy_samples": Field(20000, _integer(10**4), "an integer >= 10000"),
-    "weyl": Field({}, {
-        "box": Field([0.2, 0.8], lambda v: _numbers(2)(v) and v[0] < v[1],
-                     "a [lo, hi] pair of finite numbers with lo < hi"),
-        "exponents": Field([-2.0, -2.5, -3.0, -3.5, -4.0, -4.5],
-                           _list_of(_finite_number, 2), "at least 2 finite numbers"),
-    }),
     "covariance_scan": Field(None, {
         "direction": Field(REQUIRED, lambda v: _numbers(3)(v) and any(v),
                            "a nonzero finite 3-vector"),
@@ -116,8 +108,6 @@ class AssertionRule(NamedTuple):
 ZERO_OFFSET = ("a zero offset", lambda cfg: cfg.zero_offset_index is not None)
 NONZERO_OFFSET = ("a nonzero offset", lambda cfg: np.any(cfg.offsets))
 TWO_OFFSETS = ("at least two offsets", lambda cfg: len(cfg.offsets) >= 2)
-TWO_TOLS = ("at least two checks.degeneracy_tols",
-            lambda cfg: len(cfg.checks["degeneracy_tols"]) >= 2)
 
 
 def _within(value, pair, config):
@@ -155,7 +145,7 @@ ASSERTION_RULES = {
             lambda m: m["ellipse_max_abs_residual"]),
         "weyl_slope_max": AssertionRule(THRESHOLD, _at_most, lambda m: m["weyl_slope"]),
         "y2_fraction_linear": AssertionRule(
-            THRESHOLD, _halving, lambda m: m["degeneracy_fractions"], (NONZERO_OFFSET, TWO_TOLS)),
+            THRESHOLD, _halving, lambda m: m["degeneracy_fractions"], (NONZERO_OFFSET,)),
     },
 }
 
@@ -316,20 +306,15 @@ def from_dict(data, source=None):
                 if not met(config):
                     raise ConfigError(f"assertions.{command}.{name}: the experiment needs "
                                       f"{needs} for this rule")
-    _validate_admissibility(config)
+    # the geometry's rule bounds every view's denominator; "point k" is entry k
+    for path, points in (("experiment.center", config.center),
+                         ("experiment.offsets", config.points),
+                         ("checks.hessian_points", config.checks["hessian_points"])):
+        try:
+            config.geometry.check_admissible(points)
+        except DegenerateProjectionError as exc:
+            raise ConfigError(f"{path}: {exc}") from exc
     return config
-
-
-def _validate_admissibility(config):
-    # point 0 is the center, point k the evaluation point of offset k - 1
-    points = np.vstack([config.center, config.points])
-    s = np.arange(config.noise.n_views) * config.noise.delta_s
-    try:
-        config.geometry.check_admissible(points)
-        # every view must keep the projection denominator above its floor
-        config.geometry.project(points[:, None, :], s[None, :])
-    except DegenerateProjectionError as exc:
-        raise ConfigError(f"experiment.offsets: {exc}") from exc
 
 
 def load(path, seed=None, realizations=None):

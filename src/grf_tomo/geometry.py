@@ -22,7 +22,8 @@ _DENOMINATOR_FLOOR = 1e-9
 
 
 class DegenerateProjectionError(ValueError):
-    """A point is inadmissible, or a projection denominator is at or below 1e-9."""
+    """A point is inadmissible, or a projection denominator is at or below 1e-9;
+    at an admissible point every denominator is at least ``1 - admissible_fraction``."""
 
 
 def _normalize_angle(s):
@@ -38,8 +39,9 @@ class ConeBeamGeometry:
     radius : float
         Source-trajectory radius ``R > 0``, finite.
     admissible_fraction : float, optional
-        Reconstruction points must satisfy ``hypot(x1, x2) <= fraction * R``;
-        checked by :meth:`check_admissible`, not per projection.
+        Reconstruction points must satisfy ``hypot(x1, x2) <= fraction * R``,
+        so every projection denominator is at least ``1 - fraction``; checked
+        by :meth:`check_admissible`, not per projection.
     """
 
     radius: float
@@ -56,14 +58,18 @@ class ConeBeamGeometry:
     def check_admissible(self, points):
         """Raise :class:`DegenerateProjectionError` for a point beyond ``fraction * R``.
 
-        ``points`` has shape (..., 3); the message names the point farthest
-        from the axis by its index in the flattened array.
+        At cylinder radius ``rho`` every view's projection denominator is at
+        least ``1 - rho/R``; a point where that bound is at or below the 1e-9
+        floor is refused too (it binds only for ``fraction >= 1 - 1e-9``), so
+        an accepted point projects at any angle.  ``points`` has shape
+        (..., 3); the message names the point farthest from the axis by its
+        index in the flattened array.
         """
         points = np.reshape(np.asarray(points, dtype=float), (-1, 3))
         rho = np.hypot(points[:, 0], points[:, 1])
         limit = self.admissible_fraction * self.radius
         worst = int(np.argmax(rho))
-        if rho[worst] > limit:
+        if rho[worst] > limit or 1.0 - rho[worst] / self.radius <= _DENOMINATOR_FLOOR:
             raise DegenerateProjectionError(
                 f"point {worst} at cylinder radius {rho[worst]:.4g} exceeds the "
                 f"admissible {limit:.4g}"

@@ -111,7 +111,8 @@ class ReconstructionPlan:
     geometry, kernel, noise_model
         Scan geometry, reconstruction kernel, and noise description.
     points : array_like, shape (L, 3)
-        Spatial evaluation points (already in absolute coordinates).
+        Spatial evaluation points (already in absolute coordinates), each
+        passing ``geometry.check_admissible``.
     """
 
     def __init__(self, geometry, kernel, noise_model, points):
@@ -127,6 +128,7 @@ class ReconstructionPlan:
         if n_views > _MAX_VIEWS:
             raise ValueError(f"n_views must be at most {_MAX_VIEWS}, the packing range "
                              f"of the view index, got {n_views!r}")
+        geometry.check_admissible(self.points)
         support = kernel.spec.support
         s = np.arange(n_views) * noise_model.delta_s
 

@@ -14,13 +14,15 @@ import ast
 import dataclasses
 import importlib
 import inspect
+import itertools
 import textwrap
+import warnings
 from pathlib import Path
 from types import ModuleType
 
 import pytest
 
-from grf_tomo import ExperimentConfig, NoiseModel, ReconstructionPlan, ZeroSetReport
+from grf_tomo import ExperimentConfig, NoiseModel, ReconstructionPlan, ZeroSetReport, config
 
 ROOT = Path(__file__).resolve().parents[1]
 SCRIPTS = sorted(ROOT.glob("bench/*.py")) + sorted(ROOT.glob("demos/*.py"))
@@ -209,6 +211,19 @@ def test_library_names_resolve(script):
             + list(_report_reads(tree)))
     missing = [f"{script.name}:{line}: {name}" for line, name, value in uses if value is None]
     assert not missing, "names the library no longer has:\n" + "\n".join(missing)
+
+
+def test_benchmark_documents_load(monkeypatch):
+    # every document the benchmark writes passes the schema, so a schema edit
+    # that breaks the benchmark's input fails here rather than in a benchmark run
+    monkeypatch.syspath_prepend(str(ROOT / "bench"))
+    workloads = importlib.import_module("workloads")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)    # the preset's smoothness note
+        for workload, size, seed in itertools.product(
+                workloads.WORKLOADS, (workloads.FULL, workloads.SMOKE), (0, 1, 901)):
+            cfg = config.from_dict(workloads.make_config(workload.name, seed, size, root=ROOT))
+            assert cfg.checks["ellipse_samples"] == size.ellipse_samples
 
 
 def test_guard_sees_the_benchmark_calls():

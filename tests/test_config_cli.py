@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from grf_tomo import ConfigError, ReconstructionPlan, load_config
+from grf_tomo import ConeBeamGeometry, ConfigError, ReconstructionPlan, load_config
 from grf_tomo import cli, config
 from grf_tomo.config import ASSERTION_RULES, CHECKS, PAIR, from_dict, preset_path
 from grf_tomo.geometry import TWO_PI
@@ -45,7 +45,7 @@ _vec3 = st.lists(_finite(), min_size=3, max_size=3)
 def valid_configs(draw):
     """Valid configuration documents with random subsets of optional fields."""
     data = base_config()
-    data["geometry"]["radius"] = draw(_finite(5.0, 50.0))
+    radius = data["geometry"]["radius"] = draw(_finite(5.0, 50.0))
     data["kernel"] = {"half_width": draw(_finite(0.1, 5.0)), "exponent": draw(st.integers(1, 8))}
     data["noise"]["seed"] = draw(st.integers(0, 2**64 - 1))
     exp = data["experiment"]
@@ -56,15 +56,15 @@ def valid_configs(draw):
     exp["realizations"] = draw(st.integers(2, 10**5))
     data["prediction"] = draw(st.fixed_dictionaries({}, optional={
         "panels": st.integers(1, 5000), "tolerance": _finite(1e-9, 1.0)}))
-    box = st.tuples(_finite(), _finite()).filter(lambda p: p[0] < p[1]).map(list)
+    # Hessian points inside the drawn radius's cylinder: |x1|, |x2| <= 0.6 R
+    # keeps hypot(x1, x2) below the default 0.9 R
+    inside = st.tuples(_finite(-0.6 * radius, 0.6 * radius),
+                       _finite(-0.6 * radius, 0.6 * radius), _finite()).map(list)
     data["checks"] = draw(st.fixed_dictionaries({}, optional={
         "ellipse_samples": st.integers(1, 10**5),
-        "hessian_points": st.lists(_vec3, min_size=1, max_size=3),
+        "hessian_points": st.lists(inside, min_size=1, max_size=3),
         "hessian_resolution": st.integers(1000, 10**4),
-        "degeneracy_tols": st.lists(_finite(1e-6, 1.0), min_size=2, max_size=5),
         "degeneracy_samples": st.integers(10**4, 10**5),
-        "weyl": st.fixed_dictionaries({}, optional={
-            "box": box, "exponents": st.lists(_finite(), min_size=2, max_size=6)}),
         "covariance_scan": st.fixed_dictionaries({
             "direction": _vec3.filter(any), "radii": st.lists(_finite(), min_size=1)}),
     }))
@@ -156,11 +156,26 @@ class TestConfigValidation:
             from_dict(data)
 
     def test_inadmissible_offset_rejected(self):
+        # the message names the offset by its own index in experiment.offsets
         data = base_config()
         data["experiment"]["offsets"] = [[200.0, 0.0, 0.0]]
         data["experiment"]["detector_step"] = 1.0
-        with pytest.raises(ConfigError, match="offsets"):
+        with pytest.raises(ConfigError, match="^experiment.offsets: point 0 at"):
             from_dict(data)
+        data["experiment"]["offsets"] = [[0.0, 0.0, 0.0], [1.0, 1.0, 0.0], [200.0, 0.0, 0.0]]
+        with pytest.raises(ConfigError, match="^experiment.offsets: point 2 at"):
+            from_dict(data)
+
+    def test_load_projects_no_point(self, monkeypatch, tmp_path):
+        # the cylinder rule bounds every view's projection denominator, so
+        # load projects nothing, even at the largest view count the schema allows
+        def project(*args, **kwargs):
+            raise AssertionError("load projected a point")
+
+        monkeypatch.setattr(ConeBeamGeometry, "project", project)
+        data = base_config()
+        data["experiment"]["n_views"] = 2**21
+        assert load_config(write_config(tmp_path, data)).noise.n_views == 2**21
 
     def test_bad_kernel_rejected(self):
         data = base_config()
@@ -396,7 +411,7 @@ class TestCli:
     @pytest.mark.parametrize("command,field,sections,offsets", [
         ("check", "checks.ellipse_samples", {"checks": {"ellipse_samples": "many"}}, None),
         ("check", "checks.degeneracy_tols", {"checks": {"degeneracy_tols": "tight"}}, None),
-        ("check", "checks.weyl.box", {"checks": {"weyl": {"box": [0.8, 0.2]}}}, None),
+        ("check", "checks.weyl", {"checks": {"weyl": {"box": [0.2, 0.8]}}}, None),
         ("check", "checks.ellipse_sample", {"checks": {"ellipse_sample": 100}}, None),
         ("predict", "assertions.predict.cross_covariance",
          {"assertions": {"predict": {"cross_covariance": [99.0, 1e-9]}}}, [[0.0, 0.0, 0.0]]),
@@ -410,6 +425,14 @@ class TestCli:
         # a later --out overrides the test's own; {tmp}/file is a regular file
         pytest.param("check --out {tmp}/file", "--out", {}, None, id="out-is-file"),
         pytest.param("check --out {tmp}/file/out", "--out", {}, None, id="out-under-file"),
+        # every configured point passes the geometry's cylinder rule at load:
+        # beyond the trajectory, and inside it but beyond 0.9 R
+        pytest.param("check", "checks.hessian_points",
+                     {"checks": {"hessian_points": [[20.0, 0.0, 1.0]]}}, None, id="hessian-20"),
+        pytest.param("check", "checks.hessian_points",
+                     {"checks": {"hessian_points": [[9.5, 0.0, 1.0]]}}, None, id="hessian-9.5"),
+        pytest.param("predict", "experiment.center", {"experiment": dict(
+            base_config()["experiment"], center=[9.5, 0.0, 0.8])}, None, id="center-9.5"),
     ])
     def test_load_time_fault_exits_2(self, tmp_path, capsys, command, field, sections,
                                      offsets):
@@ -433,13 +456,14 @@ class TestCli:
     @pytest.mark.parametrize("path", [
         ("geometry", "radius"), ("experiment", "detector_step"), ("experiment", "center", 2),
         ("experiment", "offsets", 0, 1), ("prediction", "tolerance"),
-        ("checks", "degeneracy_tols", 0), ("assertions", "simulate", "variance_rel"),
+        ("checks", "covariance_scan", "radii", 0), ("assertions", "simulate", "variance_rel"),
         ("assertions", "predict", "variance", 1),
     ], ids=lambda path: ".".join(map(str, path)))
     def test_integer_beyond_float_range_exits_2(self, tmp_path, capsys, path):
         # JSON reads 1 followed by 400 zeros as an exact int that no float holds
         data = base_config()
-        data.update(prediction={"tolerance": 1e-4}, checks={"degeneracy_tols": [1e-2]},
+        data.update(prediction={"tolerance": 1e-4},
+                    checks={"covariance_scan": {"direction": [1.0, 0.0, 0.0], "radii": [0.0]}},
                     assertions={"simulate": {"variance_rel": 0.08},
                                 "predict": {"variance": [0.485, 0.002]}})
         *parents, key = path

@@ -90,6 +90,37 @@ class TestProjectGradient:
         assert np.max(np.abs(grad - fd) / scale) < 1e-6
 
 
+class TestCheckAdmissible:
+    def test_floor_binds_near_the_trajectory(self):
+        # at fraction 1 - 1e-10 a point inside fraction * R can still bound
+        # the denominator 1 - rho/R below the 1e-9 floor; the rule refuses it
+        geometry = ConeBeamGeometry(radius=10.0, admissible_fraction=1.0 - 1e-10)
+        point = [10.0 - 5e-9, 0.0, 1.0]
+        with pytest.raises(DegenerateProjectionError, match="point 0 at cylinder radius 10"):
+            geometry.check_admissible(point)
+        with pytest.raises(DegenerateProjectionError, match="floor"):
+            geometry.project(point, 0.0)
+        geometry.check_admissible([10.0 - 2e-8, 0.0, 1.0])
+
+    @given(radius=st.floats(0.1, 100.0), fraction=st.floats(1e-3, 1.0 - 1e-6),
+           scale=st.floats(0.0, 1.001), phi=st.floats(0.0, 2 * np.pi),
+           z=st.floats(-10.0, 10.0), s=st.floats(-20.0, 20.0))
+    @settings(max_examples=200, deadline=None)
+    def test_accepted_points_project_at_any_angle(self, radius, fraction, scale, phi, z, s):
+        # 1 - rho/R >= 1 - fraction bounds every view's denominator, the
+        # smallest one at s = phi included
+        geometry = ConeBeamGeometry(radius=radius, admissible_fraction=fraction)
+        rho = scale * fraction * radius
+        x = np.array([rho * np.cos(phi), rho * np.sin(phi), z])
+        if np.hypot(x[0], x[1]) > fraction * radius:
+            with pytest.raises(DegenerateProjectionError):
+                geometry.check_admissible(x)
+            return
+        geometry.check_admissible(x)
+        geometry.project(x, np.array([s, phi]))
+        geometry.project_gradient(x, np.array([s, phi]))
+
+
 class TestEllipseResidual:
     def test_reference_point(self, geometry):
         res = geometry.ellipse_residual([2.7, -3.1, 0.8], 1.3)

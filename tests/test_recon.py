@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from grf_tomo import (
+    DegenerateProjectionError,
     Kernel,
     NoiseModel,
     ReconstructionPlan,
@@ -244,6 +245,14 @@ def test_view_count_beyond_packing_range_fails_before_projection():
     with pytest.raises(ValueError, match="n_views"):
         ReconstructionPlan(Unprojected(), cfg.kernel, noise_model, cfg.points)
     assert recon._unpack(np.int64(2**21 - 1) << 42)[0] == 2**21 - 1
+
+
+def test_plan_refuses_an_inadmissible_point():
+    # the plan applies the geometry's rule, as CovariancePredictor does; at
+    # (9.5, 0, 0.8), beyond 0.9 R, it used to build 24,500 sites
+    cfg = load_preset("ci")
+    with pytest.raises(DegenerateProjectionError, match="point 1 at cylinder radius 9.5 "):
+        ReconstructionPlan(cfg.geometry, cfg.kernel, cfg.noise, [cfg.center, [9.5, 0.0, 0.8]])
 
 
 def test_site_block_does_not_change_bits(monkeypatch):
