@@ -175,28 +175,21 @@ def degeneracy_tolerance_scan(geometry, x0, offset, tols, samples=20000):
 def _lattice(eps, box):
     if not eps > 0:
         raise ValueError("eps must be > 0")
-    box = np.atleast_2d(np.asarray(box, dtype=float))
-    if box.shape[1] != 2 or np.any(box[:, 1] <= box[:, 0]):
-        raise ValueError("box must be a list of nondegenerate (lo, hi) pairs")
-    axes = [np.arange(int(np.ceil(lo / eps)), int(np.floor(hi / eps)) + 1)
-            for lo, hi in box]
-    if box.shape[0] == 1:
-        return eps * axes[0].astype(float), 1
-    mesh = np.meshgrid(*axes, indexing="ij")
-    pts = eps * np.stack([m.ravel() for m in mesh], axis=-1).astype(float)
-    return pts, box.shape[0]
+    box = np.asarray(box, dtype=float)
+    if box.shape != (2,) or not box[0] < box[1]:
+        raise ValueError("box must be one nondegenerate (lo, hi) pair")
+    lo, hi = box
+    return eps * np.arange(int(np.ceil(lo / eps)), int(np.floor(hi / eps)) + 1)
 
 
 def weyl_sum(fn, eps, box):
-    """Normalized exponential sum ``eps^N sum exp(2 pi i f(eps j)/eps)``.
+    """Normalized exponential sum ``eps sum_j exp(2 pi i f(eps j)/eps)``.
 
-    ``fn`` receives the lattice points (flat array in one dimension, shape
-    ``(m, N)`` otherwise) and returns real phases.  ``box`` is a pair
-    ``(lo, hi)`` or a sequence of such pairs.
+    ``fn`` receives the flat array of lattice points ``eps j`` in the
+    interval ``box = (lo, hi)`` and returns real phases.
     """
-    pts, ndim = _lattice(eps, box)
-    phases = np.asarray(fn(pts), dtype=float)
-    return eps**ndim * complex(np.sum(np.exp(2j * np.pi * phases / eps)))
+    phases = np.asarray(fn(_lattice(eps, box)), dtype=float)
+    return eps * complex(np.sum(np.exp(2j * np.pi * phases / eps)))
 
 
 @dataclass
@@ -240,13 +233,12 @@ def fit_log_slope(eps_values, magnitudes):
 
 
 def equidistributed_average(gn, phase_map, eps, box):
-    """Lattice average ``eps^N sum g(phase_map(eps j)/eps)``.
+    """Lattice average ``eps sum_j g(phase_map(eps j)/eps)`` over the interval ``box``.
 
     For a 1-periodic ``g`` and a phase map with nondegenerate curvature this
-    converges to ``Vol(box) * integral of g over one period`` as the step
+    converges to ``(hi - lo) * integral of g over one period`` as the step
     shrinks.  ``gn`` receives the scaled phases with the same shape the
     phase map produced.
     """
-    pts, ndim = _lattice(eps, box)
-    values = np.asarray(gn(np.asarray(phase_map(pts), dtype=float) / eps), dtype=float)
-    return eps**ndim * float(np.sum(values))
+    phases = np.asarray(phase_map(_lattice(eps, box)), dtype=float)
+    return eps * float(np.sum(np.asarray(gn(phases / eps), dtype=float)))

@@ -26,7 +26,7 @@ import numpy as np
 from . import __version__, analysis
 from .config import ASSERTION_RULES, ConfigError, load as load_config, preset_path
 from .covariance import CovariancePredictor, QuadratureConvergenceError
-from .geometry import DegenerateProjectionError, Radon2DGeometry
+from .geometry import Radon2DGeometry
 from .kernel import Kernel
 from .recon import (
     ReconstructionPlan,
@@ -287,8 +287,8 @@ def main(argv=None):
 
     try:
         files, metrics = _COMMANDS[args.command](config, args.threads)
-    except (QuadratureConvergenceError, DegenerateProjectionError,
-            FloatingPointError, np.linalg.LinAlgError, ValueError) as exc:
+    # DegenerateProjectionError and np.linalg.LinAlgError are ValueErrors
+    except (QuadratureConvergenceError, ValueError) as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 

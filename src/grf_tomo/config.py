@@ -21,7 +21,7 @@ import numpy as np
 from .geometry import ConeBeamGeometry, DegenerateProjectionError
 from .kernel import KernelSpec
 from .noise import NoiseModel
-from .recon import _MAX_VIEWS
+from .recon import _INDEX_BIAS, _MAX_VIEWS
 
 # The angle-average limit needs the kernel to have more continuous
 # derivatives than max(N + gamma + 1, n/2) = 5 for this reconstruction;
@@ -306,14 +306,28 @@ def from_dict(data, source=None):
                 if not met(config):
                     raise ConfigError(f"assertions.{command}.{name}: the experiment needs "
                                       f"{needs} for this rule")
-    # the geometry's rule bounds every view's denominator; "point k" is entry k
-    for path, points in (("experiment.center", config.center),
-                         ("experiment.offsets", config.points),
-                         ("checks.hessian_points", config.checks["hessian_points"])):
+    # the geometry's rule bounds every view's denominator; "point k" is entry k.
+    # An evaluation point beyond float range is infinite, which the rule refuses
+    with np.errstate(over="ignore"):
+        points = config.points
+    for path, entries in (("experiment.center", config.center),
+                          ("experiment.offsets", points),
+                          ("checks.hessian_points", config.checks["hessian_points"])):
         try:
-            config.geometry.check_admissible(points)
+            config.geometry.check_admissible(entries)
         except DegenerateProjectionError as exc:
             raise ConfigError(f"{path}: {exc}") from exc
+    # at cylinder radius rho each view projects a point within max(rho, |x3|)
+    # / (1 - rho/R) of the detector origin, so its footprint indices stay
+    # below this reach, the 1 covering rounding; the plan packs them in 21 bits
+    rho = np.hypot(points[:, 0], points[:, 1])
+    with np.errstate(over="ignore"):
+        reach = np.maximum(rho, np.abs(points[:, 2])) / (1.0 - rho / config.geometry.radius) \
+            / config.eps + kernel.support + 1.0
+    far = np.flatnonzero(~(reach < _INDEX_BIAS))
+    if far.size:
+        raise ConfigError(f"experiment.offsets: point {far[0]}'s detector footprint reaches "
+                          f"index {reach[far[0]]:.4g}, beyond the plan's range {_INDEX_BIAS}")
     return config
 
 

@@ -22,7 +22,7 @@ _DENOMINATOR_FLOOR = 1e-9
 
 
 class DegenerateProjectionError(ValueError):
-    """A point is inadmissible, or a projection denominator is at or below 1e-9;
+    """A point is non-finite or inadmissible, or a projection denominator is at or below 1e-9;
     at an admissible point every denominator is at least ``1 - admissible_fraction``."""
 
 
@@ -56,16 +56,22 @@ class ConeBeamGeometry:
             raise ValueError("admissible_fraction must lie in (0, 1)")
 
     def check_admissible(self, points):
-        """Raise :class:`DegenerateProjectionError` for a point beyond ``fraction * R``.
+        """Raise :class:`DegenerateProjectionError` for a non-finite point or one
+        beyond ``fraction * R``.
 
         At cylinder radius ``rho`` every view's projection denominator is at
         least ``1 - rho/R``; a point where that bound is at or below the 1e-9
         floor is refused too (it binds only for ``fraction >= 1 - 1e-9``), so
         an accepted point projects at any angle.  ``points`` has shape
-        (..., 3); the message names the point farthest from the axis by its
-        index in the flattened array.
+        (..., 3); the message names the first non-finite point, or else the
+        point farthest from the axis, by its index in the flattened array.
         """
         points = np.reshape(np.asarray(points, dtype=float), (-1, 3))
+        bad = ~np.isfinite(points).all(axis=1)
+        if bad.any():
+            k = int(np.argmax(bad))
+            raise DegenerateProjectionError(
+                f"point {k} has a non-finite coordinate: {points[k].tolist()}")
         rho = np.hypot(points[:, 0], points[:, 1])
         limit = self.admissible_fraction * self.radius
         worst = int(np.argmax(rho))

@@ -367,15 +367,17 @@ class HistogramDensity:
         return tuple(0.5 * (e[:-1] + e[1:]) for e in self.edges)
 
 
-def _default_range(values):
+def _default_range(values, bins):
     # mean +/- 4.5 standard deviations keeps essentially all Gaussian mass;
     # clip to the observed extremes so the range never exceeds the data;
     # by Chebyshev's inequality at least 95 % of the samples lie inside it,
-    # and 90 % inside both ranges of a pair, so no histogram comes out empty
+    # and 90 % inside both ranges of a pair, so no histogram comes out empty.
+    # A span too narrow for bins + 1 distinct edges, a zero span among them,
+    # is widened by 0.5 on each side, so no bin has zero width
     mu, sd = float(np.mean(values)), float(np.std(values))
     lo = max(mu - 4.5 * sd, float(np.min(values)))
     hi = min(mu + 4.5 * sd, float(np.max(values)))
-    if hi - lo <= 0:
+    if not np.all(np.diff(np.linspace(lo, hi, bins + 1)) > 0):
         lo, hi = lo - 0.5, hi + 0.5
     return lo, hi
 
@@ -384,7 +386,8 @@ def histogram_density(samples, bins):
     """Density histogram with uniform bins over a sample (n,) or sample rows (n, d).
 
     Each axis's bins span its sample mean plus/minus 4.5 standard
-    deviations, clipped to the sample extremes.
+    deviations, clipped to the sample extremes, and widened by 0.5 on each
+    side when that span is too narrow for ``bins`` distinct bins.
     """
     samples = np.asarray(samples, dtype=float)
     rows = samples.reshape(-1, 1) if samples.ndim < 2 else samples
@@ -393,7 +396,7 @@ def histogram_density(samples, bins):
     if bins < 2:
         raise ValueError("bins must be >= 2")
     counts, edges = np.histogramdd(rows, bins=bins,
-                                   range=[_default_range(axis) for axis in rows.T])
+                                   range=[_default_range(axis, bins) for axis in rows.T])
     cell = math.prod(e[1] - e[0] for e in edges)
     return HistogramDensity(edges=tuple(edges), density=counts / (counts.sum() * cell))
 

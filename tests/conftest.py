@@ -3,6 +3,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from grf_tomo import (ConeBeamGeometry, Kernel, KernelSpec, NoiseModel, Radon2DGeometry,
                       ReconstructionPlan)
@@ -16,6 +17,12 @@ OFFSET_B = np.array([2.546, -2.974, 0.983])
 EPS = 0.05
 N_VIEWS = 500
 DELTA_S = 2.0 * np.pi / N_VIEWS
+
+# a failing property test prints a blob that replays it with
+# @reproduce_failure: a printed example can lose the failure, as two floats
+# one apart print alike.  Every other setting keeps hypothesis's default
+settings.register_profile("replayable", print_blob=True)
+settings.load_profile("replayable")
 
 # the pytest pythonpath setting does not reach a subprocess, which gets this
 # checkout's sources through PYTHONPATH instead

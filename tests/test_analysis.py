@@ -217,16 +217,16 @@ class TestWeylSum:
         decay = weyl_decay_table(lambda y: 0.5 * y**2, (0.2, 0.8))
         assert decay.slope <= -1.0 / 3.0 + 0.1
 
-    def test_two_dimensional_box(self):
-        value = weyl_sum(lambda y: np.zeros(y.shape[0]), 1e-2,
-                         [(0.0, 1.0), (0.0, 0.5)])
-        assert_allclose(value.real, 1e-4 * 101 * 51, rtol=1e-12)
-
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValueError):
             weyl_sum(lambda y: y, -1.0, (0.0, 1.0))
         with pytest.raises(ValueError):
             weyl_sum(lambda y: y, 1e-2, (1.0, 0.0))
+        # the sums run over one interval; a list of boxes is refused
+        with pytest.raises(ValueError, match="one nondegenerate"):
+            weyl_sum(lambda y: y, 1e-2, [(0.0, 1.0), (0.0, 0.5)])
+        with pytest.raises(ValueError, match="one nondegenerate"):
+            equidistributed_average(np.cos, lambda y: y, 1e-2, [(0.0, 1.0), (0.0, 0.5)])
 
 
 class TestFitLogSlope:

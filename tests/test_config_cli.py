@@ -13,7 +13,8 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from grf_tomo import ConeBeamGeometry, ConfigError, ReconstructionPlan, load_config
 from grf_tomo import cli, config
 from grf_tomo.config import ASSERTION_RULES, CHECKS, PAIR, from_dict, preset_path
-from grf_tomo.geometry import TWO_PI
+from grf_tomo.geometry import TWO_PI, DegenerateProjectionError
+from grf_tomo.recon import _INDEX_BIAS
 from conftest import SRC, assert_manifest_lists_outputs, write_reduced_check_config
 
 
@@ -176,6 +177,33 @@ class TestConfigValidation:
         data = base_config()
         data["experiment"]["n_views"] = 2**21
         assert load_config(write_config(tmp_path, data)).noise.n_views == 2**21
+
+    @settings(deadline=None, max_examples=100)
+    @given(radius=st.floats(0.5, 50.0), fraction=st.floats(0.05, 1.0 - 1e-6),
+           half_width=st.floats(0.1, 5.0), step=st.floats(1e-4, 1.0),
+           n_views=st.integers(1, 8), scale=st.floats(0.0, 1.0),
+           phi=st.floats(0.0, 2 * np.pi),
+           height=st.floats(0.99, 1.01) | st.floats(-1.5, 1.5))
+    def test_loaded_points_pack(self, radius, fraction, half_width, step, n_views, scale,
+                                phi, height):
+        # x3 is drawn in units of the largest height the load bound admits,
+        # so the drawn points fall on both sides of it
+        rho = scale * fraction * radius
+        support = 1.0 + half_width
+        top = (_INDEX_BIAS - support - 1.0) * step * (1.0 - rho / radius)
+        data = base_config()
+        data["geometry"] = {"radius": radius, "admissible_fraction": fraction}
+        data["kernel"]["half_width"] = half_width
+        data["experiment"].update(
+            center=[0.0, 0.0, 0.0], detector_step=step, n_views=n_views,
+            offsets=[[rho * np.cos(phi) / step, rho * np.sin(phi) / step, height * top / step]])
+        try:
+            cfg = from_dict(data)
+        except ConfigError as exc:
+            assert str(exc).startswith("experiment.offsets: point 0")
+            return
+        # every document load accepts builds its plan without a packing error
+        ReconstructionPlan(cfg.geometry, cfg.kernel, cfg.noise, cfg.points)
 
     def test_bad_kernel_rejected(self):
         data = base_config()
@@ -373,13 +401,16 @@ class TestCli:
         assert cli.main(["simulate", "--config", path,
                          "--out", str(tmp_path / "n")]) == 3
 
-    def test_numerical_error_writes_no_file(self, tmp_path, monkeypatch):
+    # main catches ValueError, which the other two subclass
+    @pytest.mark.parametrize("error", [ValueError, np.linalg.LinAlgError,
+                                       DegenerateProjectionError], ids=lambda e: e.__name__)
+    def test_numerical_error_writes_no_file(self, tmp_path, monkeypatch, error):
         dimensions = []
 
         def gaussian_on_bins(mean, cov, histogram, original=cli.gaussian_on_bins):
             dimensions.append(histogram.ndim)
             if histogram.ndim == 2:
-                raise ValueError("planted after the 1-D histograms")
+                raise error("planted after the 1-D histograms")
             return original(mean, cov, histogram)
 
         monkeypatch.setattr(cli, "gaussian_on_bins", gaussian_on_bins)
@@ -452,6 +483,24 @@ class TestCli:
         assert f"{field}:" in capsys.readouterr().err
         assert not out.exists()
         assert (tmp_path / "file").read_text() == "kept\n"
+
+    @pytest.mark.parametrize("command", ["predict", "check", "simulate"])
+    @pytest.mark.parametrize("offset,step,message", [
+        ([0.0, 0.0, 2e6], 0.05, "point 0's detector footprint reaches index 3.396e+06"),
+        ([0.0, 0.0, 1e308], 10, "point 0 has a non-finite coordinate: [2.7, -3.1, inf]"),
+    ], ids=["x3-1e5", "x3-inf"])
+    def test_point_beyond_packing_range_exits_2(self, tmp_path, capsys, command, offset, step,
+                                                message):
+        # ci.json with one far offset: load refuses it for every command, since
+        # the plan packs detector indices in 21 bits
+        with open(preset_path("ci")) as fh:
+            data = json.load(fh)
+        data["experiment"].update(offsets=[offset, [0.0, 0.0, 0.0]], detector_step=step)
+        out = tmp_path / "o"
+        assert cli.main([command, "--config", write_config(tmp_path, data),
+                         "--out", str(out)]) == 2
+        assert f"experiment.offsets: {message}" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("path", [
         ("geometry", "radius"), ("experiment", "detector_step"), ("experiment", "center", 2),

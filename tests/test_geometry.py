@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
-from grf_tomo import ConeBeamGeometry, DegenerateProjectionError, Radon2DGeometry
+from grf_tomo import (ConeBeamGeometry, CovariancePredictor, DegenerateProjectionError,
+                      Radon2DGeometry)
 from conftest import Radon2DWithGradient, admissible_points
 
 
@@ -101,6 +102,21 @@ class TestCheckAdmissible:
         with pytest.raises(DegenerateProjectionError, match="floor"):
             geometry.project(point, 0.0)
         geometry.check_admissible([10.0 - 2e-8, 0.0, 1.0])
+
+    @pytest.mark.parametrize("point", [[np.nan, 0.0, 0.8], [2.7, -3.1, np.nan],
+                                       [2.7, -3.1, np.inf]], ids=["x1-nan", "x3-nan", "x3-inf"])
+    def test_refuses_a_non_finite_point(self, geometry, point):
+        # rho > limit is false for NaN, and the cylinder rule never reads x3
+        with pytest.raises(DegenerateProjectionError,
+                           match=r"^point 1 has a non-finite coordinate"):
+            geometry.check_admissible([[2.7, -3.1, 0.8], point, [2.7, -3.1, np.nan]])
+
+    @pytest.mark.parametrize("point", [[np.nan, 0.0, 0.8], [2.7, -3.1, np.inf]],
+                             ids=["x1-nan", "x3-inf"])
+    def test_predictor_refuses_a_non_finite_point(self, geometry, kernel, point):
+        # refused at construction, before any angle quadrature runs
+        with pytest.raises(DegenerateProjectionError, match="non-finite"):
+            CovariancePredictor(geometry, kernel, point)
 
     @given(radius=st.floats(0.1, 100.0), fraction=st.floats(1e-3, 1.0 - 1e-6),
            scale=st.floats(0.0, 1.001), phi=st.floats(0.0, 2 * np.pi),

@@ -7,7 +7,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from grf_tomo import (
@@ -615,11 +615,11 @@ class TestHistogram:
 def _reference_density(samples, bins):
     """Reference densities built with ``np.histogram`` and ``np.histogram2d`` directly."""
     if samples.ndim == 1:
-        counts, edges = np.histogram(samples, bins=bins, range=_default_range(samples))
+        counts, edges = np.histogram(samples, bins=bins, range=_default_range(samples, bins))
         return (edges,), counts / (counts.sum() * (edges[1] - edges[0]))
     counts, ex, ey = np.histogram2d(samples[:, 0], samples[:, 1], bins=bins,
-                                    range=(_default_range(samples[:, 0]),
-                                           _default_range(samples[:, 1])))
+                                    range=(_default_range(samples[:, 0], bins),
+                                           _default_range(samples[:, 1], bins)))
     area = (ex[1] - ex[0]) * (ey[1] - ey[0])
     return (ex, ey), counts / (counts.sum() * area)
 
@@ -650,6 +650,9 @@ def histogram_samples(draw):
 
 @settings(max_examples=200, deadline=None)
 @given(case=histogram_samples())
+# two samples one float apart span too little for distinct bin edges
+@example(case=(np.array([-1000.0, np.nextafter(-1000.0, 0.0)]), 2))
+@example(case=(np.array([1.7, np.nextafter(1.7, 2.0)]), 2))
 def test_histogram_matches_numpy_reference(case):
     samples, bins = case
     hist = (histogram_density if samples.ndim == 1 else histogram_density_2d)(samples, bins)
@@ -659,6 +662,8 @@ def test_histogram_matches_numpy_reference(case):
         assert got.tobytes() == want.tobytes()
     assert hist.density.shape == density.shape
     assert hist.density.tobytes() == density.tobytes()
+    # distinct edges, so every bin has a width and every density is finite
+    assert all(np.all(np.diff(e) > 0) for e in hist.edges)
 
 
 def test_histogram_counts_values_on_edges():

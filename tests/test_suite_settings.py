@@ -4,6 +4,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+from hypothesis import settings
+
 ROOT = Path(__file__).resolve().parents[1]
 
 # one property test that fails and one plain test after it
@@ -33,3 +35,9 @@ def test_failing_property_test_does_not_abort_the_run(tmp_path):
         cwd=tmp_path, capture_output=True, text=True, timeout=300)
     assert run.returncode == 1, run.stdout + run.stderr
     assert "1 failed, 1 passed" in run.stdout
+
+
+def test_property_failures_print_a_replay_blob():
+    # the suite's profile (tests/conftest.py) changes this one setting
+    assert settings.default.print_blob
+    assert settings.default.derandomize is False
