@@ -1,8 +1,8 @@
 """Experiment configuration: JSON loading and validation.
 
 One JSON document drives all commands, with sections ``geometry``,
-``kernel``, ``noise``, ``experiment``, and optional ``prediction``,
-``checks`` and ``assertions``.  :data:`SCHEMA` declares every field with its
+``kernel``, ``noise``, ``experiment``, and optional ``checks`` and
+``assertions``.  :data:`SCHEMA` declares every field with its
 default and constraint, and :data:`ASSERTION_RULES` every ``--assert`` rule.
 Validation errors carry the dotted path of the offending field.
 """
@@ -170,11 +170,6 @@ SCHEMA = {
         "n_views": Field(REQUIRED, lambda v: _integer(1)(v) and v <= _MAX_VIEWS,
                          f"an integer in [1, {_MAX_VIEWS}]"),
         "realizations": Field(REQUIRED, _integer(2), "an integer >= 2"),
-        "bins": Field(REQUIRED, _integer(2), "an integer >= 2"),
-    }),
-    "prediction": Field({}, {
-        "panels": Field(2000, _integer(1), "an integer >= 1"),
-        "tolerance": Field(1e-4, _positive, "a number > 0"),
     }),
     "checks": Field({}, CHECKS),
     "assertions": Field({}, {
@@ -188,15 +183,18 @@ SCHEMA = {
 class ExperimentConfig:
     """Validated experiment description shared by all commands."""
 
+    # not document fields: the quadrature's start panels and tolerance are no
+    # part of the experiment, and the pdf thresholds are calibrated at 21 bins
+    panels = 2000
+    tolerance = 1e-4
+    bins = 21
+
     geometry: ConeBeamGeometry
     kernel: KernelSpec
     noise: NoiseModel
     center: np.ndarray
     offsets: np.ndarray
     realizations: int
-    bins: int
-    panels: int
-    tolerance: float
     checks: dict
     assertions: dict
     _document: dict = field(repr=False)
@@ -230,8 +228,7 @@ class ExperimentConfig:
                  "noise": {"seed": self.noise.seed},
                  "experiment": {"center": self.center, "offsets": self.offsets,
                                 "detector_step": self.eps, "n_views": self.noise.n_views,
-                                "realizations": self.realizations, "bins": self.bins},
-                 "prediction": {"panels": self.panels, "tolerance": self.tolerance}}
+                                "realizations": self.realizations}}
         for section, fields in owned.items():
             for key, value in fields.items():
                 # an equal value keeps the document's spelling: 10 stays 10, not 10.0
@@ -273,7 +270,7 @@ def from_dict(data, source=None):
     """Build a validated :class:`ExperimentConfig` from plain dictionaries; the smoothness
     warning names ``source``, a ``(filename, lineno)`` pair, or else the caller."""
     data = _section(data, SCHEMA)
-    geo, ker, exp, pred = (data[k] for k in ("geometry", "kernel", "experiment", "prediction"))
+    geo, ker, exp = (data[k] for k in ("geometry", "kernel", "experiment"))
     kernel = KernelSpec(half_width=float(ker["half_width"]), exponent=ker["exponent"])
     if kernel.smoothness <= REQUIRED_SMOOTHNESS:
         message = (f"kernel.exponent: smoothness {kernel.smoothness} does not exceed the "
@@ -293,9 +290,6 @@ def from_dict(data, source=None):
         center=np.asarray(exp["center"], dtype=float),
         offsets=np.asarray(exp["offsets"], dtype=float),
         realizations=exp["realizations"],
-        bins=exp["bins"],
-        panels=pred["panels"],
-        tolerance=float(pred["tolerance"]),
         checks=data["checks"],
         assertions=data["assertions"],
         _document=data,

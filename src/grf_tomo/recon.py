@@ -132,10 +132,10 @@ class ReconstructionPlan:
         support = kernel.spec.support
         s = np.arange(n_views) * noise_model.delta_s
 
-        # one window per view, wide enough for every point; each point's own
-        # footprint within it is masked by ok1 and ok2.  The (L, nv, m1, m2)
-        # arrays are the largest the plan makes, so each is deleted as soon as
-        # the tables no longer need it
+        # one window per view, wide enough for every point; ok1 and ok2 select
+        # each point's own footprint in it, and past hi, at |t| >= support, both
+        # kernel evaluators give exactly +0.0.  The (L, nv, m1, m2) arrays are
+        # the largest the plan makes, so each is deleted once no table needs it
         u, v = geometry.project(self.points[:, None, :], s)      # (L, nv)
         lo1, hi1 = _footprint_bounds(u / eps, support)
         lo2, hi2 = _footprint_bounds(v / eps, support)
@@ -145,14 +145,14 @@ class ReconstructionPlan:
         k2 = lo2[..., None] + np.arange(int(np.max(hi2 - lo2)) + 1)   # (L, nv, m2)
         ok1 = k1 <= hi1[..., None]
         ok2 = k2 <= hi2[..., None]
-        w1 = np.where(ok1, kernel.second_derivative(u[..., None] / eps - k1), 0.0)
-        w2 = np.where(ok2, kernel.value(v[..., None] / eps - k2), 0.0)
+        w1 = kernel.second_derivative(u[..., None] / eps - k1)
+        w2 = kernel.value(v[..., None] / eps - k2)
         packed = (np.arange(n_views)[:, None, None] << 42) \
             | ((k1[..., :, None] + _INDEX_BIAS) << 21) | (k2[..., None, :] + _INDEX_BIAS)
-        # noise is generated for the whole window, but zero-weight cells
-        # never enter the reduction, so the summed term sequence (and
-        # every output bit) is independent of window enlargement.  The sites
-        # stay packed; site_j, site_k1 and site_k2 decode them on access
+        # noise is generated for each point's footprint cells, and zero-weight
+        # cells never enter the reduction, so the summed term sequence (and every
+        # output bit) is independent of window enlargement.  The sites stay
+        # packed; site_j, site_k1 and site_k2 decode them on access
         self._site_pack = _sorted_unique(packed[ok1[..., :, None] & ok2[..., None, :]])
         w = w1[..., :, None] * w2[..., None, :]                  # (L, nv, m1, m2)
         del k1, k2, ok1, ok2, w1, w2
@@ -372,13 +372,18 @@ def _default_range(values, bins):
     # clip to the observed extremes so the range never exceeds the data;
     # by Chebyshev's inequality at least 95 % of the samples lie inside it,
     # and 90 % inside both ranges of a pair, so no histogram comes out empty.
-    # A span too narrow for bins + 1 distinct edges, a zero span among them,
-    # is widened by 0.5 on each side, so no bin has zero width
-    mu, sd = float(np.mean(values)), float(np.std(values))
-    lo = max(mu - 4.5 * sd, float(np.min(values)))
-    hi = min(mu + 4.5 * sd, float(np.max(values)))
+    # Scaled by a power of two, the moments cannot overflow and keep every bit
+    # where the unscaled ones neither over- nor underflow.  A span too narrow
+    # for bins + 1 distinct edges, a zero span among them, is widened on each
+    # side by 0.5, or by 2 * bins float spacings where that is more
+    lo, hi = float(np.min(values)), float(np.max(values))
+    e = int(np.frexp(max(-lo, hi))[1])
+    scaled = np.ldexp(values, -e)
+    mu, sd = float(np.ldexp(np.mean(scaled), e)), float(np.ldexp(np.std(scaled), e))
+    lo, hi = max(mu - 4.5 * sd, lo), min(mu + 4.5 * sd, hi)
     if not np.all(np.diff(np.linspace(lo, hi, bins + 1)) > 0):
-        lo, hi = lo - 0.5, hi + 0.5
+        pad = max(0.5, 2 * bins * float(np.spacing(max(-lo, hi))))
+        lo, hi = lo - pad, hi + pad
     return lo, hi
 
 
@@ -386,8 +391,8 @@ def histogram_density(samples, bins):
     """Density histogram with uniform bins over a sample (n,) or sample rows (n, d).
 
     Each axis's bins span its sample mean plus/minus 4.5 standard
-    deviations, clipped to the sample extremes, and widened by 0.5 on each
-    side when that span is too narrow for ``bins`` distinct bins.
+    deviations, clipped to the sample extremes, and widened on each side
+    when that span is too narrow for ``bins`` distinct bins.
     """
     samples = np.asarray(samples, dtype=float)
     rows = samples.reshape(-1, 1) if samples.ndim < 2 else samples

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,7 +13,8 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from grf_tomo import ConeBeamGeometry, ConfigError, ReconstructionPlan, load_config
 from grf_tomo import cli, config
-from grf_tomo.config import ASSERTION_RULES, CHECKS, PAIR, from_dict, preset_path
+from grf_tomo.config import (ASSERTION_RULES, CHECKS, PAIR, ExperimentConfig, from_dict,
+                             preset_path)
 from grf_tomo.geometry import TWO_PI, DegenerateProjectionError
 from grf_tomo.recon import _INDEX_BIAS
 from conftest import SRC, assert_manifest_lists_outputs, write_reduced_check_config
@@ -30,7 +32,6 @@ def base_config():
             "detector_step": 0.05,
             "n_views": 500,
             "realizations": 64,
-            "bins": 5,
         },
     }
 
@@ -55,8 +56,6 @@ def valid_configs(draw):
     exp["offsets"] = draw(st.lists(_vec3.filter(any), min_size=1, max_size=3)) + [[0.0, 0.0, 0.0]]
     exp["n_views"] = draw(st.integers(1, 600))
     exp["realizations"] = draw(st.integers(2, 10**5))
-    data["prediction"] = draw(st.fixed_dictionaries({}, optional={
-        "panels": st.integers(1, 5000), "tolerance": _finite(1e-9, 1.0)}))
     # Hessian points inside the drawn radius's cylinder: |x1|, |x2| <= 0.6 R
     # keeps hypot(x1, x2) below the default 0.9 R
     inside = st.tuples(_finite(-0.6 * radius, 0.6 * radius),
@@ -264,17 +263,59 @@ class TestConfigValidation:
     def test_document_keeps_every_schema_field(self, monkeypatch, tmp_path):
         # a field that only SCHEMA and from_dict know must still reach the
         # manifest and survive --seed and --realizations overrides
-        monkeypatch.setitem(config.SCHEMA["prediction"].valid, "probe",
+        monkeypatch.setitem(config.SCHEMA["checks"].valid, "probe",
                             config.Field(1, config._integer(1), "an integer >= 1"))
         data = base_config()
-        data["prediction"] = {"probe": 7}
+        data["checks"] = {"probe": 7}
         cfg = from_dict(data)
-        assert cfg.to_dict()["prediction"] == {"panels": 2000, "tolerance": 1e-4, "probe": 7}
+        assert cfg.to_dict()["checks"] == {
+            "ellipse_samples": 10000, "hessian_points": [[2.7, -3.1, 0.8]],
+            "hessian_resolution": 2000, "degeneracy_samples": 20000, "probe": 7}
         path = write_config(tmp_path, data)
-        assert load_config(path, seed=3).to_dict()["prediction"]["probe"] == 7
+        assert load_config(path, seed=3).to_dict()["checks"]["probe"] == 7
         # the copy is the caller's own
-        cfg.to_dict()["prediction"]["probe"] = 8
-        assert cfg.to_dict()["prediction"]["probe"] == 7
+        cfg.to_dict()["checks"]["probe"] = 8
+        assert cfg.to_dict()["checks"]["probe"] == 7
+
+    @pytest.mark.parametrize("command", ["predict", "check", "simulate"])
+    @pytest.mark.parametrize("field,edit", [
+        ("prediction", lambda data: data.update(prediction={})),
+        ("prediction", lambda data: data.update(prediction={"panels": 2000})),
+        ("experiment.bins", lambda data: data["experiment"].update(bins=21)),
+    ], ids=["prediction", "prediction.panels", "experiment.bins"])
+    def test_constant_is_no_document_field(self, tmp_path, capsys, command, field, edit):
+        # the quadrature start, its tolerance and the bin count are class
+        # constants of ExperimentConfig; a document that still sets one is refused
+        with open(preset_path("ci")) as fh:
+            data = json.load(fh)
+        edit(data)
+        out = tmp_path / "o"
+        assert cli.main([command, "--config", write_config(tmp_path, data),
+                         "--out", str(out)]) == 2
+        assert f"configuration error: {field}: unknown field" in capsys.readouterr().err
+        assert not out.exists()
+        assert (ExperimentConfig.panels, ExperimentConfig.tolerance,
+                ExperimentConfig.bins) == (2000, 1e-4, 21)
+
+    def test_readme_names_every_field_and_rule(self):
+        # README says SCHEMA and ASSERTION_RULES are the single source of its
+        # configuration tables; its Configuration section must keep up with them
+        text = (Path(SRC).parent / "README.md").read_text()
+        section = text.split("\n## Configuration\n", 1)[1].split("\n## ", 1)[0]
+
+        def fields(schema):
+            # the assertions section's fields are the rules, named command.rule
+            for name, spec in schema.items():
+                yield name
+                if isinstance(spec.valid, dict) and name != "assertions":
+                    yield from fields(spec.valid)
+
+        rules = [f"{command}.{name}" for command, table in ASSERTION_RULES.items()
+                 for name in table]
+        missing = [name for name in [*fields(config.SCHEMA), *rules]
+                   if f"`{name}`" not in section]
+        assert missing == []
+        assert "`prediction`" not in section
 
 
 class TestCli:
@@ -383,10 +424,10 @@ class TestCli:
         assert cli.main(["predict", "--config", str(path),
                          "--out", str(tmp_path / "x")]) == 2
 
-    def test_numerical_error_exits_3(self, tmp_path):
-        data = base_config()
-        data["prediction"] = {"panels": 1, "tolerance": 1e-300}
-        path = write_config(tmp_path, data)
+    def test_numerical_error_exits_3(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(ExperimentConfig, "panels", 1)
+        monkeypatch.setattr(ExperimentConfig, "tolerance", 1e-300)
+        path = write_config(tmp_path, base_config())
         assert cli.main(["predict", "--config", path,
                          "--out", str(tmp_path / "n")]) == 3
 
@@ -395,9 +436,9 @@ class TestCli:
             raise AssertionError("reconstruct ran before the prediction failed")
 
         monkeypatch.setattr(ReconstructionPlan, "reconstruct", reconstruct)
-        data = base_config()
-        data["prediction"] = {"panels": 1, "tolerance": 1e-300}
-        path = write_config(tmp_path, data)
+        monkeypatch.setattr(ExperimentConfig, "panels", 1)
+        monkeypatch.setattr(ExperimentConfig, "tolerance", 1e-300)
+        path = write_config(tmp_path, base_config())
         assert cli.main(["simulate", "--config", path,
                          "--out", str(tmp_path / "n")]) == 3
 
@@ -504,15 +545,13 @@ class TestCli:
 
     @pytest.mark.parametrize("path", [
         ("geometry", "radius"), ("experiment", "detector_step"), ("experiment", "center", 2),
-        ("experiment", "offsets", 0, 1), ("prediction", "tolerance"),
-        ("checks", "covariance_scan", "radii", 0), ("assertions", "simulate", "variance_rel"),
-        ("assertions", "predict", "variance", 1),
+        ("experiment", "offsets", 0, 1), ("checks", "covariance_scan", "radii", 0),
+        ("assertions", "simulate", "variance_rel"), ("assertions", "predict", "variance", 1),
     ], ids=lambda path: ".".join(map(str, path)))
     def test_integer_beyond_float_range_exits_2(self, tmp_path, capsys, path):
         # JSON reads 1 followed by 400 zeros as an exact int that no float holds
         data = base_config()
-        data.update(prediction={"tolerance": 1e-4},
-                    checks={"covariance_scan": {"direction": [1.0, 0.0, 0.0], "radii": [0.0]}},
+        data.update(checks={"covariance_scan": {"direction": [1.0, 0.0, 0.0], "radii": [0.0]}},
                     assertions={"simulate": {"variance_rel": 0.08},
                                 "predict": {"variance": [0.485, 0.002]}})
         *parents, key = path

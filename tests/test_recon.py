@@ -653,6 +653,12 @@ def histogram_samples(draw):
 # two samples one float apart span too little for distinct bin edges
 @example(case=(np.array([-1000.0, np.nextafter(-1000.0, 0.0)]), 2))
 @example(case=(np.array([1.7, np.nextafter(1.7, 2.0)]), 2))
+# constant samples where 0.5 is below the float spacing, and one whose
+# squared deviation from its rounded mean overflowed
+@example(case=(np.full(10, 1e17), 2))
+@example(case=(np.full(10, 1e17), 21))
+@example(case=(np.full(10, -3e16), 5))
+@example(case=(np.full(10, 1e300), 21))
 def test_histogram_matches_numpy_reference(case):
     samples, bins = case
     hist = (histogram_density if samples.ndim == 1 else histogram_density_2d)(samples, bins)
