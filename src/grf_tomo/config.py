@@ -152,8 +152,6 @@ ASSERTION_RULES = {
 SCHEMA = {
     "geometry": Field(REQUIRED, {
         "radius": Field(REQUIRED, _positive, "a number > 0"),
-        "admissible_fraction": Field(0.9, lambda v: _finite_number(v) and 0 < v < 1,
-                                     "a number in (0, 1)"),
     }),
     "kernel": Field(REQUIRED, {
         "half_width": Field(REQUIRED, _positive, "a number > 0"),
@@ -270,7 +268,7 @@ def from_dict(data, source=None):
     """Build a validated :class:`ExperimentConfig` from plain dictionaries; the smoothness
     warning names ``source``, a ``(filename, lineno)`` pair, or else the caller."""
     data = _section(data, SCHEMA)
-    geo, ker, exp = (data[k] for k in ("geometry", "kernel", "experiment"))
+    ker, exp = data["kernel"], data["experiment"]
     kernel = KernelSpec(half_width=float(ker["half_width"]), exponent=ker["exponent"])
     if kernel.smoothness <= REQUIRED_SMOOTHNESS:
         message = (f"kernel.exponent: smoothness {kernel.smoothness} does not exceed the "
@@ -282,8 +280,7 @@ def from_dict(data, source=None):
             warnings.warn_explicit(message, UserWarning, *source,
                                    registry=_FILE_WARNINGS.setdefault(source[0], {}))
     config = ExperimentConfig(
-        geometry=ConeBeamGeometry(radius=float(geo["radius"]),
-                                  admissible_fraction=float(geo["admissible_fraction"])),
+        geometry=ConeBeamGeometry(radius=float(data["geometry"]["radius"])),
         kernel=kernel,
         noise=NoiseModel(eps=float(exp["detector_step"]), n_views=exp["n_views"],
                          seed=data["noise"]["seed"]),

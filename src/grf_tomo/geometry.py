@@ -22,8 +22,8 @@ _DENOMINATOR_FLOOR = 1e-9
 
 
 class DegenerateProjectionError(ValueError):
-    """A point is non-finite or inadmissible, or a projection denominator is at or below 1e-9;
-    at an admissible point every denominator is at least ``1 - admissible_fraction``."""
+    """A point is non-finite or outside the admissible cylinder, or a projection
+    denominator is at or below 1e-9; at an admissible point every denominator is at least 0.1."""
 
 
 def _normalize_angle(s):
@@ -38,31 +38,27 @@ class ConeBeamGeometry:
     ----------
     radius : float
         Source-trajectory radius ``R > 0``, finite.
-    admissible_fraction : float, optional
-        Reconstruction points must satisfy ``hypot(x1, x2) <= fraction * R``,
-        so every projection denominator is at least ``1 - fraction``; checked
-        by :meth:`check_admissible`, not per projection.
+
+    Points must satisfy ``hypot(x1, x2) <= admissible_fraction * R``, a constant 0.9, so
+    every projection denominator is at least 0.1; :meth:`check_admissible` checks it.
     """
 
     radius: float
-    admissible_fraction: float = 0.9
 
     parameter_period = TWO_PI
+    admissible_fraction = 0.9
 
     def __post_init__(self):
         if isinstance(self.radius, (bool, np.bool_)) or not 0 < self.radius < np.inf:
             raise ValueError(f"radius must be a finite number > 0, got {self.radius!r}")
-        if not 0 < self.admissible_fraction < 1:
-            raise ValueError("admissible_fraction must lie in (0, 1)")
 
     def check_admissible(self, points):
         """Raise :class:`DegenerateProjectionError` for a non-finite point or one
-        beyond ``fraction * R``.
+        beyond ``0.9 * R``.
 
         At cylinder radius ``rho`` every view's projection denominator is at
-        least ``1 - rho/R``; a point where that bound is at or below the 1e-9
-        floor is refused too (it binds only for ``fraction >= 1 - 1e-9``), so
-        an accepted point projects at any angle.  ``points`` has shape
+        least ``1 - rho/R >= 0.1``, far above the 1e-9 floor of :meth:`project`,
+        so an accepted point projects at any angle.  ``points`` has shape
         (..., 3); the message names the first non-finite point, or else the
         point farthest from the axis, by its index in the flattened array.
         """
@@ -75,7 +71,7 @@ class ConeBeamGeometry:
         rho = np.hypot(points[:, 0], points[:, 1])
         limit = self.admissible_fraction * self.radius
         worst = int(np.argmax(rho))
-        if rho[worst] > limit or 1.0 - rho[worst] / self.radius <= _DENOMINATOR_FLOOR:
+        if rho[worst] > limit:
             raise DegenerateProjectionError(
                 f"point {worst} at cylinder radius {rho[worst]:.4g} exceeds the "
                 f"admissible {limit:.4g}"
@@ -156,7 +152,7 @@ class ConeBeamGeometry:
     def ellipse_sample(self, count, seed):
         """``count`` admissible points, shape (count, 3), and source angles.
 
-        Point ``i`` has ``rho = fraction * R * sqrt(u)``, ``phi`` and angle
+        Point ``i`` has ``rho = 0.9 * R * sqrt(u)``, ``phi`` and angle
         uniform on ``[0, 2*pi)`` and ``x3`` on ``[-3, 3)``, hashed from ``(seed,
         i, coordinate)`` at view -1, which no noise datum has: so the first
         ``n`` points do not depend on ``count``.

@@ -45,6 +45,7 @@ _SITE_CHUNK = 8192
 # sample rows per chunk of streaming_moments; the merge order, and so the
 # output bits, depend on it
 _MOMENT_CHUNK = 1024
+_SCALE_EXP = 256  # histogram axes reaching 2**256 in magnitude are binned scaled below it
 
 
 def _footprint_bounds(coord, support):
@@ -367,23 +368,22 @@ class HistogramDensity:
         return tuple(0.5 * (e[:-1] + e[1:]) for e in self.edges)
 
 
-def _default_range(values, bins):
-    # mean +/- 4.5 standard deviations keeps essentially all Gaussian mass;
-    # clip to the observed extremes so the range never exceeds the data;
-    # by Chebyshev's inequality at least 95 % of the samples lie inside it,
-    # and 90 % inside both ranges of a pair, so no histogram comes out empty.
-    # Scaled by a power of two, the moments cannot overflow and keep every bit
-    # where the unscaled ones neither over- nor underflow.  A span too narrow
-    # for bins + 1 distinct edges, a zero span among them, is widened on each
-    # side by 0.5, or by 2 * bins float spacings where that is more
-    lo, hi = float(np.min(values)), float(np.max(values))
-    e = int(np.frexp(max(-lo, hi))[1])
-    scaled = np.ldexp(values, -e)
-    mu, sd = float(np.ldexp(np.mean(scaled), e)), float(np.ldexp(np.std(scaled), e))
+def _default_range(scaled, bins, e):
+    # ``scaled`` is one axis times 2**-e, below 2**_SCALE_EXP in magnitude, so nothing here
+    # overflows.  Mean +/- 4.5 standard deviations keeps essentially all Gaussian mass;
+    # clip to the observed extremes so the range never exceeds the data; by Chebyshev's
+    # inequality at least 95 % of the samples lie inside it, and 90 % inside both ranges
+    # of a pair, so no histogram comes out empty.  A span too narrow for bins + 1 distinct
+    # edges, a zero span among them, is widened on each side by 0.5 unscaled, or by
+    # 2 * bins float spacings where that is more, up to the largest float
+    lo, hi = float(np.min(scaled)), float(np.max(scaled))
+    m = int(np.frexp(max(-lo, hi))[1])  # moments taken in units that keep a tiny axis's bits
+    mu, sd = (float(np.ldexp(f(np.ldexp(scaled, -m)), m)) for f in (np.mean, np.std))
     lo, hi = max(mu - 4.5 * sd, lo), min(mu + 4.5 * sd, hi)
     if not np.all(np.diff(np.linspace(lo, hi, bins + 1)) > 0):
-        pad = max(0.5, 2 * bins * float(np.spacing(max(-lo, hi))))
-        lo, hi = lo - pad, hi + pad
+        pad = max(float(np.ldexp(0.5, -e)), 2 * bins * float(np.spacing(max(-lo, hi))))
+        top = float(np.ldexp(np.finfo(float).max, -e))
+        lo, hi = max(lo - pad, -top), min(hi + pad, top)
     return lo, hi
 
 
@@ -400,10 +400,16 @@ def histogram_density(samples, bins):
         raise ValueError("need a nonempty sample of shape (n,) or (n, d)")
     if bins < 2:
         raise ValueError("bins must be >= 2")
-    counts, edges = np.histogramdd(rows, bins=bins,
-                                   range=[_default_range(axis, bins) for axis in rows.T])
-    cell = math.prod(e[1] - e[0] for e in edges)
-    return HistogramDensity(edges=tuple(edges), density=counts / (counts.sum() * cell))
+    # units of 2**e, e > 0 only for an axis reaching 2**_SCALE_EXP, so a smaller one keeps its bits
+    scales = np.maximum(np.frexp(np.max(np.abs(rows), axis=0))[1] - _SCALE_EXP, 0)
+    scaled = np.ldexp(rows, -scales)
+    counts, edges = np.histogramdd(scaled, bins=bins, range=[
+        _default_range(axis, bins, e) for axis, e in zip(scaled.T, scales)])
+    # the cell volume as mantissas and one power of two, so that no product overflows
+    mantissas, exponents = np.frexp([edge[1] - edge[0] for edge in edges])
+    density = np.ldexp(counts / (counts.sum() * math.prod(mantissas)),
+                       -int(exponents.sum() + scales.sum()))
+    return HistogramDensity(edges=tuple(map(np.ldexp, edges, scales)), density=density)
 
 
 def histogram_density_2d(samples, bins):

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -92,16 +94,25 @@ class TestProjectGradient:
 
 
 class TestCheckAdmissible:
-    def test_floor_binds_near_the_trajectory(self):
-        # at fraction 1 - 1e-10 a point inside fraction * R can still bound
-        # the denominator 1 - rho/R below the 1e-9 floor; the rule refuses it
-        geometry = ConeBeamGeometry(radius=10.0, admissible_fraction=1.0 - 1e-10)
+    def test_floor_binds_near_the_trajectory(self, geometry):
+        # 5e-9 inside the trajectory the denominator at s = 0 is 5e-10, below
+        # the 1e-9 floor that guards a direct projection; the cylinder rule
+        # refuses the point long before that
         point = [10.0 - 5e-9, 0.0, 1.0]
-        with pytest.raises(DegenerateProjectionError, match="point 0 at cylinder radius 10"):
-            geometry.check_admissible(point)
         with pytest.raises(DegenerateProjectionError, match="floor"):
             geometry.project(point, 0.0)
-        geometry.check_admissible([10.0 - 2e-8, 0.0, 1.0])
+        with pytest.raises(DegenerateProjectionError, match="floor"):
+            geometry.project_gradient(point, 0.0)
+        with pytest.raises(DegenerateProjectionError,
+                           match="point 0 at cylinder radius 10 exceeds the admissible 9"):
+            geometry.check_admissible(point)
+
+    def test_cylinder_is_a_constant(self):
+        # the admissible fraction is a class constant, not a field
+        assert ConeBeamGeometry.admissible_fraction == 0.9
+        assert [f.name for f in dataclasses.fields(ConeBeamGeometry)] == ["radius"]
+        with pytest.raises(TypeError):
+            ConeBeamGeometry(radius=10.0, admissible_fraction=0.5)
 
     @pytest.mark.parametrize("point", [[np.nan, 0.0, 0.8], [2.7, -3.1, np.nan],
                                        [2.7, -3.1, np.inf]], ids=["x1-nan", "x3-nan", "x3-inf"])
@@ -118,17 +129,16 @@ class TestCheckAdmissible:
         with pytest.raises(DegenerateProjectionError, match="non-finite"):
             CovariancePredictor(geometry, kernel, point)
 
-    @given(radius=st.floats(0.1, 100.0), fraction=st.floats(1e-3, 1.0 - 1e-6),
-           scale=st.floats(0.0, 1.001), phi=st.floats(0.0, 2 * np.pi),
-           z=st.floats(-10.0, 10.0), s=st.floats(-20.0, 20.0))
+    @given(radius=st.floats(0.1, 100.0), scale=st.floats(0.0, 1.001),
+           phi=st.floats(0.0, 2 * np.pi), z=st.floats(-10.0, 10.0), s=st.floats(-20.0, 20.0))
     @settings(max_examples=200, deadline=None)
-    def test_accepted_points_project_at_any_angle(self, radius, fraction, scale, phi, z, s):
-        # 1 - rho/R >= 1 - fraction bounds every view's denominator, the
-        # smallest one at s = phi included
-        geometry = ConeBeamGeometry(radius=radius, admissible_fraction=fraction)
-        rho = scale * fraction * radius
+    def test_accepted_points_project_at_any_angle(self, radius, scale, phi, z, s):
+        # 1 - rho/R >= 0.1 bounds every view's denominator, the smallest one
+        # at s = phi included
+        geometry = ConeBeamGeometry(radius=radius)
+        rho = scale * 0.9 * radius
         x = np.array([rho * np.cos(phi), rho * np.sin(phi), z])
-        if np.hypot(x[0], x[1]) > fraction * radius:
+        if np.hypot(x[0], x[1]) > 0.9 * radius:
             with pytest.raises(DegenerateProjectionError):
                 geometry.check_admissible(x)
             return

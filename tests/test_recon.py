@@ -23,7 +23,7 @@ from grf_tomo import (
 )
 from grf_tomo import noise, recon
 from grf_tomo.config import preset_path
-from grf_tomo.recon import _BATCH, _default_range, streaming_moments
+from grf_tomo.recon import _BATCH, _SCALE_EXP, _default_range, streaming_moments
 from conftest import (
     CENTER,
     DELTA_S,
@@ -612,14 +612,21 @@ class TestHistogram:
         assert abs(hist.density.sum() * area - 1.0) < 1e-12
 
 
+def _reference_range(axis, bins):
+    """One axis's range from :func:`_default_range`, mapped back to unscaled units."""
+    e = max(np.frexp(np.max(np.abs(axis)))[1] - _SCALE_EXP, 0)
+    return tuple(np.ldexp(_default_range(np.ldexp(axis, -e), bins, e), e))
+
+
 def _reference_density(samples, bins):
-    """Reference densities built with ``np.histogram`` and ``np.histogram2d`` directly."""
+    """Reference densities built with ``np.histogram`` and ``np.histogram2d`` directly,
+    on the unscaled samples."""
     if samples.ndim == 1:
-        counts, edges = np.histogram(samples, bins=bins, range=_default_range(samples, bins))
+        counts, edges = np.histogram(samples, bins=bins, range=_reference_range(samples, bins))
         return (edges,), counts / (counts.sum() * (edges[1] - edges[0]))
     counts, ex, ey = np.histogram2d(samples[:, 0], samples[:, 1], bins=bins,
-                                    range=(_default_range(samples[:, 0], bins),
-                                           _default_range(samples[:, 1], bins)))
+                                    range=(_reference_range(samples[:, 0], bins),
+                                           _reference_range(samples[:, 1], bins)))
     area = (ex[1] - ex[0]) * (ey[1] - ey[0])
     return (ex, ey), counts / (counts.sum() * area)
 
@@ -659,6 +666,10 @@ def histogram_samples(draw):
 @example(case=(np.full(10, 1e17), 21))
 @example(case=(np.full(10, -3e16), 5))
 @example(case=(np.full(10, 1e300), 21))
+# a subnormal beside 1, and a span of one subnormal step: scaled to [0.5, 1),
+# the first lost its sign and the second gained bits it has no room for unscaled
+@example(case=(np.array([1.0, -5e-324]), 2))
+@example(case=(np.array([0.0, 5e-324]), 2))
 def test_histogram_matches_numpy_reference(case):
     samples, bins = case
     hist = (histogram_density if samples.ndim == 1 else histogram_density_2d)(samples, bins)
@@ -670,6 +681,25 @@ def test_histogram_matches_numpy_reference(case):
     assert hist.density.tobytes() == density.tobytes()
     # distinct edges, so every bin has a width and every density is finite
     assert all(np.all(np.diff(e) > 0) for e in hist.edges)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("bins", [2, 5, 21])
+@pytest.mark.parametrize("samples", [
+    np.array([1e308, -1e308]), np.full(10, np.finfo(float).max),
+    np.full(10, -np.finfo(float).max), np.full(10, 1e300), np.full(10, 1e17),
+    np.full(10, 5e-324), np.full((10, 2), np.finfo(float).max),
+    np.array([[1e308, -1e308], [-1e308, 1e308]]), np.full((10, 2), 1e-300),
+], ids=["pm-1e308", "max", "minus-max", "1e300", "1e17", "subnormal", "max-2d", "pm-1e308-2d",
+        "1e-300-2d"])
+def test_histogram_of_extreme_samples(samples, bins):
+    # each axis is binned in units of a power of two, so its span, padding,
+    # edges and cell volume neither overflow nor warn near the float range
+    hist = histogram_density(samples, bins)
+    assert all(np.all(np.isfinite(e)) and np.all(np.diff(e) > 0) for e in hist.edges)
+    assert np.all(np.isfinite(hist.density))
+    # a 2-D cell near the float range has a density below the smallest float
+    assert hist.density.any() or samples.ndim == 2
 
 
 def test_histogram_counts_values_on_edges():
