@@ -16,7 +16,6 @@ import os
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from .analysis import (
-    WeylDecayResult,
     ZeroSetReport,
     degeneracy_tolerance_scan,
     equidistributed_average,
@@ -32,7 +31,6 @@ from .geometry import ConeBeamGeometry, DegenerateProjectionError, Radon2DGeomet
 from .kernel import Kernel, KernelSpec
 from .noise import NoiseModel, modulation_field, variance_field
 from .recon import (
-    HistogramDensity,
     ReconstructionPlan,
     density_mismatch,
     gaussian_on_bins,
@@ -48,14 +46,12 @@ __all__ = [
     "CovariancePredictor",
     "DegenerateProjectionError",
     "ExperimentConfig",
-    "HistogramDensity",
     "Kernel",
     "KernelSpec",
     "NoiseModel",
     "QuadratureConvergenceError",
     "Radon2DGeometry",
     "ReconstructionPlan",
-    "WeylDecayResult",
     "ZeroSetReport",
     "degeneracy_tolerance_scan",
     "density_mismatch",

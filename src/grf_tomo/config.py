@@ -13,11 +13,12 @@ import copy
 import json
 import sys
 import warnings
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
 
+from .covariance import PANELS, TOLERANCE
 from .geometry import ConeBeamGeometry, DegenerateProjectionError
 from .kernel import KernelSpec
 from .noise import NoiseModel
@@ -60,10 +61,9 @@ def _numbers(count):
 class Field(NamedTuple):
     """One configuration field: its default and the constraint on its value.
 
-    ``default`` is a value, :data:`REQUIRED`, ``None`` for an optional field
-    that is left out when absent, or a function of the validated document so
-    far.  ``valid`` is a predicate described by ``expected``, or the schema
-    of a nested section.
+    ``default`` is a value, :data:`REQUIRED`, or ``None`` for an optional
+    field that is left out when absent.  ``valid`` is a predicate described
+    by ``expected``, or the schema of a nested section.
     """
 
     default: object
@@ -77,8 +77,8 @@ THRESHOLD = Field(None, _finite_number, "a finite number")
 
 CHECKS = {
     "ellipse_samples": Field(10000, _integer(1), "an integer >= 1"),
-    "hessian_points": Field(lambda doc: [doc["experiment"]["center"]], _list_of(_numbers(3)),
-                            "a nonempty list of finite 3-vectors"),
+    # from_dict fills in [center]
+    "hessian_points": Field(None, _list_of(_numbers(3)), "a nonempty list of finite 3-vectors"),
     "hessian_resolution": Field(2000, _integer(1000), "an integer >= 1000"),
     "degeneracy_samples": Field(20000, _integer(10**4), "an integer >= 10000"),
     "covariance_scan": Field(None, {
@@ -183,8 +183,8 @@ class ExperimentConfig:
 
     # not document fields: the quadrature's start panels and tolerance are no
     # part of the experiment, and the pdf thresholds are calibrated at 21 bins
-    panels = 2000
-    tolerance = 1e-4
+    panels = PANELS
+    tolerance = TOLERANCE
     bins = 21
 
     geometry: ConeBeamGeometry
@@ -195,7 +195,6 @@ class ExperimentConfig:
     realizations: int
     checks: dict
     assertions: dict
-    _document: dict = field(repr=False)
 
     @property
     def eps(self):
@@ -219,23 +218,18 @@ class ExperimentConfig:
         return int(hits[0]) if hits.size else None
 
     def to_dict(self):
-        """The validated document, defaults filled in, with each field that an
-        attribute owns read from that attribute; :func:`from_dict` rebuilds ``self``."""
-        data = copy.deepcopy(self._document)
-        owned = {"geometry": asdict(self.geometry), "kernel": asdict(self.kernel),
-                 "noise": {"seed": self.noise.seed},
-                 "experiment": {"center": self.center, "offsets": self.offsets,
-                                "detector_step": self.eps, "n_views": self.noise.n_views,
-                                "realizations": self.realizations}}
-        for section, fields in owned.items():
-            for key, value in fields.items():
-                # an equal value keeps the document's spelling: 10 stays 10, not 10.0
-                if not np.array_equal(data[section][key], value):
-                    data[section][key] = np.asarray(value).tolist()
-        return data
+        """The configuration as a document, defaults filled in, each section read
+        from the object or dict that owns it; :func:`from_dict` rebuilds ``self``."""
+        return {"geometry": asdict(self.geometry), "kernel": asdict(self.kernel),
+                "noise": {"seed": self.noise.seed},
+                "experiment": {"center": self.center.tolist(), "offsets": self.offsets.tolist(),
+                               "detector_step": self.eps, "n_views": self.noise.n_views,
+                               "realizations": self.realizations},
+                "checks": copy.deepcopy(self.checks),
+                "assertions": copy.deepcopy(self.assertions)}
 
 
-def _section(data, schema, path="", doc=None):
+def _section(data, schema, path=""):
     """Validate ``data`` against ``schema``; return a copy with defaults filled in."""
     if not isinstance(data, dict):
         raise ConfigError(f"{path or 'top level'}: expected a JSON object")
@@ -245,7 +239,6 @@ def _section(data, schema, path="", doc=None):
             raise ConfigError(f"{prefix}{key}: unknown field; "
                               f"expected one of {', '.join(schema)}")
     out = {}
-    doc = out if doc is None else doc
     for key, spec in schema.items():
         sub = prefix + key
         if key in data:
@@ -255,9 +248,9 @@ def _section(data, schema, path="", doc=None):
         elif spec.default is None:
             continue
         else:
-            value = spec.default(doc) if callable(spec.default) else copy.deepcopy(spec.default)
+            value = copy.deepcopy(spec.default)
         if isinstance(spec.valid, dict):
-            value = _section(value, spec.valid, sub, doc)
+            value = _section(value, spec.valid, sub)
         elif not spec.valid(value):
             raise ConfigError(f"{sub}: expected {spec.expected}")
         out[key] = value
@@ -269,6 +262,8 @@ def from_dict(data, source=None):
     warning names ``source``, a ``(filename, lineno)`` pair, or else the caller."""
     data = _section(data, SCHEMA)
     ker, exp = data["kernel"], data["experiment"]
+    center = np.asarray(exp["center"], dtype=float)
+    data["checks"].setdefault("hessian_points", [center.tolist()])
     kernel = KernelSpec(half_width=float(ker["half_width"]), exponent=ker["exponent"])
     if kernel.smoothness <= REQUIRED_SMOOTHNESS:
         message = (f"kernel.exponent: smoothness {kernel.smoothness} does not exceed the "
@@ -284,12 +279,11 @@ def from_dict(data, source=None):
         kernel=kernel,
         noise=NoiseModel(eps=float(exp["detector_step"]), n_views=exp["n_views"],
                          seed=data["noise"]["seed"]),
-        center=np.asarray(exp["center"], dtype=float),
+        center=center,
         offsets=np.asarray(exp["offsets"], dtype=float),
         realizations=exp["realizations"],
         checks=data["checks"],
         assertions=data["assertions"],
-        _document=data,
     )
     for command, rules in config.assertions.items():
         for name in rules:

@@ -24,6 +24,10 @@ from .kernel import Kernel
 from .noise import variance_field
 
 _GL_ORDER = 4                  # Gauss-Legendre nodes per angle panel
+# the quadrature's start: panels of the first pass, and the tolerance that
+# panel doubling verifies
+PANELS = 2000
+TOLERANCE = 1e-4
 
 
 class QuadratureConvergenceError(RuntimeError):
@@ -49,7 +53,7 @@ class CovariancePredictor:
         Absolute tolerance verified by panel-doubling refinement.
     """
 
-    def __init__(self, geometry, kernel, x0, panels=2000, tolerance=1e-4):
+    def __init__(self, geometry, kernel, x0, panels=PANELS, tolerance=TOLERANCE):
         if not isinstance(kernel, Kernel):
             kernel = Kernel(kernel)
         self.geometry = geometry

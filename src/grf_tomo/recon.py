@@ -368,19 +368,22 @@ class HistogramDensity:
         return tuple(0.5 * (e[:-1] + e[1:]) for e in self.edges)
 
 
-def _default_range(scaled, bins, e):
-    # ``scaled`` is one axis times 2**-e, below 2**_SCALE_EXP in magnitude, so nothing here
-    # overflows.  Mean +/- 4.5 standard deviations keeps essentially all Gaussian mass;
-    # clip to the observed extremes so the range never exceeds the data; by Chebyshev's
-    # inequality at least 95 % of the samples lie inside it, and 90 % inside both ranges
-    # of a pair, so no histogram comes out empty.  A span too narrow for bins + 1 distinct
-    # edges, a zero span among them, is widened on each side by 0.5 unscaled, or by
-    # 2 * bins float spacings where that is more, up to the largest float
+def _default_range(scaled, bins, e, axes):
+    # ``scaled`` is one of ``axes`` axes times 2**-e, below 2**_SCALE_EXP in magnitude, so
+    # nothing here overflows.  Mean +/- 4.5 standard deviations keeps essentially all
+    # Gaussian mass; clip to the observed extremes so the range never exceeds the data; by
+    # Chebyshev's inequality at least 95 % of the samples lie inside it, and 90 % inside
+    # both ranges of a pair, so no histogram comes out empty.  A span too narrow for
+    # bins + 1 distinct edges, a zero span among them, or for bins at least
+    # 2**-(1022 // axes) wide unscaled, which keep every density at most 2**1022, is widened
+    # on each side by 0.5 unscaled, or by 2 * bins float spacings where that is more, up to
+    # the largest float
     lo, hi = float(np.min(scaled)), float(np.max(scaled))
     m = int(np.frexp(max(-lo, hi))[1])  # moments taken in units that keep a tiny axis's bits
     mu, sd = (float(np.ldexp(f(np.ldexp(scaled, -m)), m)) for f in (np.mean, np.std))
     lo, hi = max(mu - 4.5 * sd, lo), min(mu + 4.5 * sd, hi)
-    if not np.all(np.diff(np.linspace(lo, hi, bins + 1)) > 0):
+    if not (np.all(np.diff(np.linspace(lo, hi, bins + 1)) > 0)
+            and (hi - lo) / bins >= math.ldexp(1.0, -(1022 // axes) - int(e))):
         pad = max(float(np.ldexp(0.5, -e)), 2 * bins * float(np.spacing(max(-lo, hi))))
         top = float(np.ldexp(np.finfo(float).max, -e))
         lo, hi = max(lo - pad, -top), min(hi + pad, top)
@@ -392,7 +395,8 @@ def histogram_density(samples, bins):
 
     Each axis's bins span its sample mean plus/minus 4.5 standard
     deviations, clipped to the sample extremes, and widened on each side
-    when that span is too narrow for ``bins`` distinct bins.
+    when that span is too narrow for ``bins`` distinct bins, or for bins
+    wide enough that no density exceeds the float range.
     """
     samples = np.asarray(samples, dtype=float)
     rows = samples.reshape(-1, 1) if samples.ndim < 2 else samples
@@ -404,7 +408,7 @@ def histogram_density(samples, bins):
     scales = np.maximum(np.frexp(np.max(np.abs(rows), axis=0))[1] - _SCALE_EXP, 0)
     scaled = np.ldexp(rows, -scales)
     counts, edges = np.histogramdd(scaled, bins=bins, range=[
-        _default_range(axis, bins, e) for axis, e in zip(scaled.T, scales)])
+        _default_range(axis, bins, e, len(scales)) for axis, e in zip(scaled.T, scales)])
     # the cell volume as mantissas and one power of two, so that no product overflows
     mantissas, exponents = np.frexp([edge[1] - edge[0] for edge in edges])
     density = np.ldexp(counts / (counts.sum() * math.prod(mantissas)),

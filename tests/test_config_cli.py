@@ -144,10 +144,23 @@ class TestConfigValidation:
         assert (again.seed, again.eps, again.realizations) == (7, 0.025, 32)
         assert np.array_equal(again.points, moved.points)
         assert moved.to_dict()["experiment"]["center"] == (cfg.center + 0.5).tolist()
-        # an unreplaced config echoes its document, int spelling included
+        # a float field is echoed as the float the object holds, whatever its spelling
         data = base_config()
         data["geometry"]["radius"] = 10
-        assert type(from_dict(data).to_dict()["geometry"]["radius"]) is int
+        echoed = from_dict(data).to_dict()["geometry"]["radius"]
+        assert type(echoed) is float and echoed == 10.0
+
+    @pytest.mark.parametrize("name", ["paper", "ci"])
+    def test_preset_echo_is_its_file(self, name):
+        # a bundled preset spells every float as a float, so its echo is the
+        # file with the checks defaults filled in, to the byte of the manifest's form
+        with open(preset_path(name)) as fh:
+            data = json.load(fh)
+        defaults = {key: spec.default for key, spec in CHECKS.items() if spec.default is not None}
+        data["checks"] = {**defaults, "hessian_points": [data["experiment"]["center"]],
+                          **data["checks"]}
+        echoed = load_config(preset_path(name)).to_dict()
+        assert json.dumps(echoed, sort_keys=True) == json.dumps(data, sort_keys=True)
 
     def test_malformed_json_reports_byte_offset(self, tmp_path):
         path = tmp_path / "broken.json"
@@ -428,6 +441,24 @@ class TestCli:
         assert entry["message"].startswith(
             "projection Hessian vanishes identically along directions [[")
         assert entry["message"].endswith("]]") and "x3" not in entry["message"]
+
+    @pytest.mark.parametrize("command,options", [
+        ("predict", []), ("check", []), ("simulate", ["--seed", "5", "--realizations", "64"]),
+    ], ids=["predict", "check", "simulate"])
+    def test_manifest_reproduces_the_run(self, tmp_path, command, options):
+        # the manifest's config, written back as a document, runs the command
+        # again: every other output keeps its bytes, and the echo is the same
+        first, second = tmp_path / "first", tmp_path / "second"
+        assert cli.main([command, "--config", str(preset_path("ci")), "--out", str(first),
+                         *options]) == 0
+        manifest = json.loads((first / "manifest.json").read_text())
+        assert cli.main([command, "--config", write_config(tmp_path, manifest["config"]),
+                         "--out", str(second)]) == 0
+        again = json.loads((second / "manifest.json").read_text())
+        assert again["config"] == manifest["config"]
+        assert again["outputs"] == manifest["outputs"] != []
+        for name in manifest["outputs"]:
+            assert (second / name).read_bytes() == (first / name).read_bytes(), name
 
     def test_malformed_config_exits_2(self, tmp_path):
         path = tmp_path / "broken.json"

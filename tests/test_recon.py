@@ -612,21 +612,21 @@ class TestHistogram:
         assert abs(hist.density.sum() * area - 1.0) < 1e-12
 
 
-def _reference_range(axis, bins):
-    """One axis's range from :func:`_default_range`, mapped back to unscaled units."""
+def _reference_range(axis, bins, axes):
+    """One of ``axes`` axes' range from :func:`_default_range`, mapped back to unscaled units."""
     e = max(np.frexp(np.max(np.abs(axis)))[1] - _SCALE_EXP, 0)
-    return tuple(np.ldexp(_default_range(np.ldexp(axis, -e), bins, e), e))
+    return tuple(np.ldexp(_default_range(np.ldexp(axis, -e), bins, e, axes), e))
 
 
 def _reference_density(samples, bins):
     """Reference densities built with ``np.histogram`` and ``np.histogram2d`` directly,
     on the unscaled samples."""
     if samples.ndim == 1:
-        counts, edges = np.histogram(samples, bins=bins, range=_reference_range(samples, bins))
+        counts, edges = np.histogram(samples, bins=bins, range=_reference_range(samples, bins, 1))
         return (edges,), counts / (counts.sum() * (edges[1] - edges[0]))
     counts, ex, ey = np.histogram2d(samples[:, 0], samples[:, 1], bins=bins,
-                                    range=(_reference_range(samples[:, 0], bins),
-                                           _reference_range(samples[:, 1], bins)))
+                                    range=(_reference_range(samples[:, 0], bins, 2),
+                                           _reference_range(samples[:, 1], bins, 2)))
     area = (ex[1] - ex[0]) * (ey[1] - ey[0])
     return (ex, ey), counts / (counts.sum() * area)
 
@@ -683,18 +683,37 @@ def test_histogram_matches_numpy_reference(case):
     assert all(np.all(np.diff(e) > 0) for e in hist.edges)
 
 
+# samples near the float range, each at 2, 5 and 21 bins
+_EXTREME_SAMPLES = {
+    "pm-1e308": np.array([1e308, -1e308]), "max": np.full(10, np.finfo(float).max),
+    "minus-max": np.full(10, -np.finfo(float).max), "1e300": np.full(10, 1e300),
+    "1e17": np.full(10, 1e17), "subnormal": np.full(10, 5e-324),
+    "max-2d": np.full((10, 2), np.finfo(float).max),
+    "pm-1e308-2d": np.array([[1e308, -1e308], [-1e308, 1e308]]),
+    "1e-300-2d": np.full((10, 2), 1e-300),
+}
+# spans with distinct edges whose bins are so narrow that a cell's density
+# exceeds the largest float, each at a bin count where it does
+_NARROW_SPANS = [
+    ("0-1e-309", [0.0, 1e-309], 2), ("0-1e-309", [0.0, 1e-309], 21),
+    ("0-5e-323", [0.0, 5e-323], 2), ("1e-310-3e-310", [1e-310, 3e-310], 5),
+    ("1e-200-2d", [[0.0, 0.0], [1e-200, 1e-200]], 5),
+    ("1e-160-2d", [[0.0, 0.0], [1e-160, 1e-160]], 2),
+    ("1e-309-beside-1-2d", [[0.0, 1.0], [1e-309, 2.0]], 2),
+]
+
+
 @pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("bins", [2, 5, 21])
-@pytest.mark.parametrize("samples", [
-    np.array([1e308, -1e308]), np.full(10, np.finfo(float).max),
-    np.full(10, -np.finfo(float).max), np.full(10, 1e300), np.full(10, 1e17),
-    np.full(10, 5e-324), np.full((10, 2), np.finfo(float).max),
-    np.array([[1e308, -1e308], [-1e308, 1e308]]), np.full((10, 2), 1e-300),
-], ids=["pm-1e308", "max", "minus-max", "1e300", "1e17", "subnormal", "max-2d", "pm-1e308-2d",
-        "1e-300-2d"])
+@pytest.mark.parametrize("samples, bins", [
+    *(pytest.param(samples, bins, id=f"{name}-{bins}")
+      for name, samples in _EXTREME_SAMPLES.items() for bins in (2, 5, 21)),
+    *(pytest.param(np.array(samples), bins, id=f"{name}-{bins}")
+      for name, samples, bins in _NARROW_SPANS),
+])
 def test_histogram_of_extreme_samples(samples, bins):
     # each axis is binned in units of a power of two, so its span, padding,
-    # edges and cell volume neither overflow nor warn near the float range
+    # edges and cell volume neither overflow nor warn near the float range,
+    # and an axis whose bins would be too narrow for a finite density is widened
     hist = histogram_density(samples, bins)
     assert all(np.all(np.isfinite(e)) and np.all(np.diff(e) > 0) for e in hist.edges)
     assert np.all(np.isfinite(hist.density))
