@@ -242,7 +242,7 @@ def _section(data, schema, path=""):
     for key, spec in schema.items():
         sub = prefix + key
         if key in data:
-            value = data[key]
+            value = copy.deepcopy(data[key])
         elif spec.default is REQUIRED:
             raise ConfigError(f"{sub}: missing required field")
         elif spec.default is None:

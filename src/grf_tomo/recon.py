@@ -45,7 +45,6 @@ _SITE_CHUNK = 8192
 # sample rows per chunk of streaming_moments; the merge order, and so the
 # output bits, depend on it
 _MOMENT_CHUNK = 1024
-_SCALE_EXP = 256  # histogram axes reaching 2**256 in magnitude are binned scaled below it
 
 
 def _footprint_bounds(coord, support):
@@ -368,35 +367,25 @@ class HistogramDensity:
         return tuple(0.5 * (e[:-1] + e[1:]) for e in self.edges)
 
 
-def _default_range(scaled, bins, e, axes):
-    # ``scaled`` is one of ``axes`` axes times 2**-e, below 2**_SCALE_EXP in magnitude, so
-    # nothing here overflows.  Mean +/- 4.5 standard deviations keeps essentially all
-    # Gaussian mass; clip to the observed extremes so the range never exceeds the data; by
-    # Chebyshev's inequality at least 95 % of the samples lie inside it, and 90 % inside
-    # both ranges of a pair, so no histogram comes out empty.  A span too narrow for
-    # bins + 1 distinct edges, a zero span among them, or for bins at least
-    # 2**-(1022 // axes) wide unscaled, which keep every density at most 2**1022, is widened
-    # on each side by 0.5 unscaled, or by 2 * bins float spacings where that is more, up to
-    # the largest float
-    lo, hi = float(np.min(scaled)), float(np.max(scaled))
-    m = int(np.frexp(max(-lo, hi))[1])  # moments taken in units that keep a tiny axis's bits
-    mu, sd = (float(np.ldexp(f(np.ldexp(scaled, -m)), m)) for f in (np.mean, np.std))
-    lo, hi = max(mu - 4.5 * sd, lo), min(mu + 4.5 * sd, hi)
-    if not (np.all(np.diff(np.linspace(lo, hi, bins + 1)) > 0)
-            and (hi - lo) / bins >= math.ldexp(1.0, -(1022 // axes) - int(e))):
-        pad = max(float(np.ldexp(0.5, -e)), 2 * bins * float(np.spacing(max(-lo, hi))))
-        top = float(np.ldexp(np.finfo(float).max, -e))
-        lo, hi = max(lo - pad, -top), min(hi + pad, top)
+def _default_range(axis, bins):
+    # mean +/- 4.5 sd keeps essentially all Gaussian mass; clipped to the extremes it holds
+    # at least 95 % of the samples (Chebyshev), 90 % of a pair, so no histogram is empty.  A
+    # span too narrow for bins + 1 distinct edges gains max(0.5, 2 * bins float spacings) a side
+    mu, sd = float(np.mean(axis)), float(np.std(axis))
+    lo, hi = max(mu - 4.5 * sd, float(np.min(axis))), min(mu + 4.5 * sd, float(np.max(axis)))
+    if not np.all(np.diff(np.linspace(lo, hi, bins + 1)) > 0):
+        pad = max(0.5, 2 * bins * float(np.spacing(max(-lo, hi))))
+        lo, hi = lo - pad, hi + pad
     return lo, hi
 
 
 def histogram_density(samples, bins):
     """Density histogram with uniform bins over a sample (n,) or sample rows (n, d).
 
-    Each axis's bins span its sample mean plus/minus 4.5 standard
-    deviations, clipped to the sample extremes, and widened on each side
-    when that span is too narrow for ``bins`` distinct bins, or for bins
-    wide enough that no density exceeds the float range.
+    Each axis's bins span its mean plus/minus 4.5 standard deviations, clipped to its
+    extremes and widened when too narrow for ``bins`` distinct bins.  Every value must be
+    finite, and 0 or of magnitude in [2**-256, 2**256), where no width, cell volume or
+    density of up to two axes under- or overflows; an axis with one outside raises ValueError.
     """
     samples = np.asarray(samples, dtype=float)
     rows = samples.reshape(-1, 1) if samples.ndim < 2 else samples
@@ -404,16 +393,14 @@ def histogram_density(samples, bins):
         raise ValueError("need a nonempty sample of shape (n,) or (n, d)")
     if bins < 2:
         raise ValueError("bins must be >= 2")
-    # units of 2**e, e > 0 only for an axis reaching 2**_SCALE_EXP, so a smaller one keeps its bits
-    scales = np.maximum(np.frexp(np.max(np.abs(rows), axis=0))[1] - _SCALE_EXP, 0)
-    scaled = np.ldexp(rows, -scales)
-    counts, edges = np.histogramdd(scaled, bins=bins, range=[
-        _default_range(axis, bins, e, len(scales)) for axis, e in zip(scaled.T, scales)])
-    # the cell volume as mantissas and one power of two, so that no product overflows
-    mantissas, exponents = np.frexp([edge[1] - edge[0] for edge in edges])
-    density = np.ldexp(counts / (counts.sum() * math.prod(mantissas)),
-                       -int(exponents.sum() + scales.sum()))
-    return HistogramDensity(edges=tuple(map(np.ldexp, edges, scales)), density=density)
+    size = np.abs(rows)
+    outside = ~np.all((size < 2.0**256) & ((size >= 2.0**-256) | (size == 0)), axis=0)
+    if outside.any():
+        raise ValueError(f"histogram axis {np.argmax(outside)}: every value must be finite, "
+                         "and 0 or of magnitude in [2**-256, 2**256)")
+    counts, edges = np.histogramdd(rows, bins, range=[_default_range(a, bins) for a in rows.T])
+    density = counts / (counts.sum() * math.prod(edge[1] - edge[0] for edge in edges))
+    return HistogramDensity(edges=tuple(edges), density=density)
 
 
 def histogram_density_2d(samples, bins):

@@ -300,6 +300,17 @@ class TestConfigValidation:
         cfg.to_dict()["checks"]["probe"] = 8
         assert cfg.to_dict()["checks"]["probe"] == 7
 
+    def test_config_keeps_no_reference_to_the_document(self):
+        # edits to the document after the load reach no validated value
+        data = base_config()
+        data["checks"] = {"hessian_points": [[1.0, 1.0, 1.0]]}
+        data["assertions"] = {"predict": {"variance": [0.4848, 0.05]}}
+        cfg = from_dict(data)
+        data["checks"]["hessian_points"][0][0] = 50.0
+        data["assertions"]["predict"]["variance"][1] = -1
+        assert cfg.checks["hessian_points"] == [[1.0, 1.0, 1.0]]
+        assert cfg.assertions["predict"]["variance"] == [0.4848, 0.05]
+
     @pytest.mark.parametrize("command", ["predict", "check", "simulate"])
     @pytest.mark.parametrize("field", list(RETIRED_FIELDS))
     def test_constant_is_no_document_field(self, tmp_path, capsys, command, field):
@@ -484,10 +495,12 @@ class TestCli:
         assert cli.main(["simulate", "--config", path,
                          "--out", str(tmp_path / "n")]) == 3
 
-    # main catches ValueError, which the other two subclass
+    # main catches ValueError, which the other two subclass; None plants
+    # reconstruction values outside histogram_density's domain instead
     @pytest.mark.parametrize("error", [ValueError, np.linalg.LinAlgError,
-                                       DegenerateProjectionError], ids=lambda e: e.__name__)
-    def test_numerical_error_writes_no_file(self, tmp_path, monkeypatch, error):
+                                       DegenerateProjectionError, None],
+                             ids=lambda e: getattr(e, "__name__", "out-of-domain"))
+    def test_numerical_error_writes_no_file(self, tmp_path, monkeypatch, capsys, error):
         dimensions = []
 
         def gaussian_on_bins(mean, cov, histogram, original=cli.gaussian_on_bins):
@@ -496,12 +509,21 @@ class TestCli:
                 raise error("planted after the 1-D histograms")
             return original(mean, cov, histogram)
 
+        def reconstruct(plan, *args, original=ReconstructionPlan.reconstruct, **kwargs):
+            return original(plan, *args, **kwargs) * 1e300
+
         monkeypatch.setattr(cli, "gaussian_on_bins", gaussian_on_bins)
+        if error is None:
+            monkeypatch.setattr(ReconstructionPlan, "reconstruct", reconstruct)
         out = tmp_path / "n"
         assert cli.main(["simulate", "--config", str(preset_path("ci")), "--out", str(out),
                          "--realizations", "64"]) == 3
-        assert dimensions == [1, 1, 1, 2]
+        assert dimensions == ([1, 1, 1, 2] if error else [])
         assert list(out.iterdir()) == []
+        if error is None:
+            assert capsys.readouterr().err == (
+                "numerical error: histogram axis 0: every value must be finite, "
+                "and 0 or of magnitude in [2**-256, 2**256)\n")
 
     def test_assert_mode_exit_codes(self, tmp_path, capsys):
         data = base_config()

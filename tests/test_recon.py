@@ -1,5 +1,6 @@
 import collections
 import hashlib
+import re
 import sys
 import threading
 import tracemalloc
@@ -23,7 +24,7 @@ from grf_tomo import (
 )
 from grf_tomo import noise, recon
 from grf_tomo.config import preset_path
-from grf_tomo.recon import _BATCH, _SCALE_EXP, _default_range, streaming_moments
+from grf_tomo.recon import _BATCH, _default_range, streaming_moments
 from conftest import (
     CENTER,
     DELTA_S,
@@ -612,23 +613,26 @@ class TestHistogram:
         assert abs(hist.density.sum() * area - 1.0) < 1e-12
 
 
-def _reference_range(axis, bins, axes):
-    """One of ``axes`` axes' range from :func:`_default_range`, mapped back to unscaled units."""
-    e = max(np.frexp(np.max(np.abs(axis)))[1] - _SCALE_EXP, 0)
-    return tuple(np.ldexp(_default_range(np.ldexp(axis, -e), bins, e, axes), e))
-
-
 def _reference_density(samples, bins):
-    """Reference densities built with ``np.histogram`` and ``np.histogram2d`` directly,
-    on the unscaled samples."""
+    """Reference densities built with ``np.histogram`` and ``np.histogram2d`` directly."""
     if samples.ndim == 1:
-        counts, edges = np.histogram(samples, bins=bins, range=_reference_range(samples, bins, 1))
+        counts, edges = np.histogram(samples, bins=bins, range=_default_range(samples, bins))
         return (edges,), counts / (counts.sum() * (edges[1] - edges[0]))
     counts, ex, ey = np.histogram2d(samples[:, 0], samples[:, 1], bins=bins,
-                                    range=(_reference_range(samples[:, 0], bins, 2),
-                                           _reference_range(samples[:, 1], bins, 2)))
+                                    range=(_default_range(samples[:, 0], bins),
+                                           _default_range(samples[:, 1], bins)))
     area = (ex[1] - ex[0]) * (ey[1] - ey[0])
     return (ex, ey), counts / (counts.sum() * area)
+
+
+# the domain histogram_density bins: each value is 0 or of magnitude in [TINY, HUGE)
+TINY, HUGE = 2.0**-256, 2.0**256
+DOMAIN = re.escape("every value must be finite, and 0 or of magnitude in [2**-256, 2**256)")
+
+
+def _in_domain(bound):
+    """Floats in [-bound, bound] that lie in the histogram domain."""
+    return st.one_of(st.just(0.0), st.floats(TINY, bound), st.floats(-bound, -TINY))
 
 
 @st.composite
@@ -646,8 +650,7 @@ def histogram_samples(draw):
         samples = np.full(n * dims, draw(st.sampled_from([0.0, -3.0, 1.7, 1e6])))
     else:
         element = {"grid": st.integers(-8, 8).map(float),
-                   "free": st.floats(-1e3, 1e3, allow_nan=False),
-                   "outlier": st.floats(-1.0, 1.0, allow_nan=False)}[kind]
+                   "free": _in_domain(1e3), "outlier": _in_domain(1.0)}[kind]
         samples = np.array(draw(st.lists(element, min_size=n * dims, max_size=n * dims)))
         if kind == "outlier":
             samples[draw(st.integers(0, samples.size - 1))] = draw(st.sampled_from([-1e3, 1e3]))
@@ -660,16 +663,19 @@ def histogram_samples(draw):
 # two samples one float apart span too little for distinct bin edges
 @example(case=(np.array([-1000.0, np.nextafter(-1000.0, 0.0)]), 2))
 @example(case=(np.array([1.7, np.nextafter(1.7, 2.0)]), 2))
-# constant samples where 0.5 is below the float spacing, and one whose
-# squared deviation from its rounded mean overflowed
+# constant samples where 0.5 is below the float spacing
 @example(case=(np.full(10, 1e17), 2))
+@example(case=(np.full(10, 1e17), 5))
 @example(case=(np.full(10, 1e17), 21))
 @example(case=(np.full(10, -3e16), 5))
-@example(case=(np.full(10, 1e300), 21))
-# a subnormal beside 1, and a span of one subnormal step: scaled to [0.5, 1),
-# the first lost its sign and the second gained bits it has no room for unscaled
-@example(case=(np.array([1.0, -5e-324]), 2))
-@example(case=(np.array([0.0, 5e-324]), 2))
+# the domain's edges: a span of one float step at its smallest magnitude, a span from 0 to
+# it, and the largest magnitude below it at both signs, whose squares and spans stay finite
+@example(case=(np.array([TINY, np.nextafter(TINY, 1.0)]), 2))
+@example(case=(np.array([0.0, TINY]), 21))
+@example(case=(np.array([np.nextafter(HUGE, 0.0), -np.nextafter(HUGE, 0.0)]), 5))
+@example(case=(np.array([[TINY, 0.0], [np.nextafter(TINY, 1.0), TINY]]), 2))
+@example(case=(np.array([[np.nextafter(HUGE, 0.0), -np.nextafter(HUGE, 0.0)],
+                         [-np.nextafter(HUGE, 0.0), np.nextafter(HUGE, 0.0)]]), 21))
 def test_histogram_matches_numpy_reference(case):
     samples, bins = case
     hist = (histogram_density if samples.ndim == 1 else histogram_density_2d)(samples, bins)
@@ -679,27 +685,31 @@ def test_histogram_matches_numpy_reference(case):
         assert got.tobytes() == want.tobytes()
     assert hist.density.shape == density.shape
     assert hist.density.tobytes() == density.tobytes()
-    # distinct edges, so every bin has a width and every density is finite
+    # distinct edges, so every bin has a width and every density is finite and positive
     assert all(np.all(np.diff(e) > 0) for e in hist.edges)
+    assert np.all(np.isfinite(hist.density)) and hist.density.any()
 
 
-# samples near the float range, each at 2, 5 and 21 bins
+# samples outside the domain, near the float range or below 2**-256, each at 2, 5 and 21 bins
 _EXTREME_SAMPLES = {
     "pm-1e308": np.array([1e308, -1e308]), "max": np.full(10, np.finfo(float).max),
     "minus-max": np.full(10, -np.finfo(float).max), "1e300": np.full(10, 1e300),
-    "1e17": np.full(10, 1e17), "subnormal": np.full(10, 5e-324),
+    "subnormal": np.full(10, 5e-324),
     "max-2d": np.full((10, 2), np.finfo(float).max),
     "pm-1e308-2d": np.array([[1e308, -1e308], [-1e308, 1e308]]),
     "1e-300-2d": np.full((10, 2), 1e-300),
 }
-# spans with distinct edges whose bins are so narrow that a cell's density
-# exceeds the largest float, each at a bin count where it does
-_NARROW_SPANS = [
+# narrow spans of values below 2**-256, the domain's edges just outside it, and
+# non-finite values, each at one bin count
+_OUTSIDE = [
     ("0-1e-309", [0.0, 1e-309], 2), ("0-1e-309", [0.0, 1e-309], 21),
     ("0-5e-323", [0.0, 5e-323], 2), ("1e-310-3e-310", [1e-310, 3e-310], 5),
     ("1e-200-2d", [[0.0, 0.0], [1e-200, 1e-200]], 5),
     ("1e-160-2d", [[0.0, 0.0], [1e-160, 1e-160]], 2),
     ("1e-309-beside-1-2d", [[0.0, 1.0], [1e-309, 2.0]], 2),
+    ("subnormal-beside-1", [1.0, -5e-324], 2), ("0-5e-324", [0.0, 5e-324], 2),
+    ("below-tiny", [0.0, np.nextafter(TINY, 0.0)], 2), ("huge", [0.0, -HUGE], 2),
+    ("nan", [1.0, np.nan], 5), ("inf-2d", [[1.0, 2.0], [3.0, np.inf]], 5),
 ]
 
 
@@ -708,17 +718,17 @@ _NARROW_SPANS = [
     *(pytest.param(samples, bins, id=f"{name}-{bins}")
       for name, samples in _EXTREME_SAMPLES.items() for bins in (2, 5, 21)),
     *(pytest.param(np.array(samples), bins, id=f"{name}-{bins}")
-      for name, samples, bins in _NARROW_SPANS),
+      for name, samples, bins in _OUTSIDE),
 ])
 def test_histogram_of_extreme_samples(samples, bins):
-    # each axis is binned in units of a power of two, so its span, padding,
-    # edges and cell volume neither overflow nor warn near the float range,
-    # and an axis whose bins would be too narrow for a finite density is widened
-    hist = histogram_density(samples, bins)
-    assert all(np.all(np.isfinite(e)) and np.all(np.diff(e) > 0) for e in hist.edges)
-    assert np.all(np.isfinite(hist.density))
-    # a 2-D cell near the float range has a density below the smallest float
-    assert hist.density.any() or samples.ndim == 2
+    with pytest.raises(ValueError, match=f"^histogram axis [01]: {DOMAIN}$"):
+        histogram_density(samples, bins)
+
+
+def test_histogram_refusal_names_the_axis():
+    # the axis whose values leave the domain, the second here
+    with pytest.raises(ValueError, match=f"^histogram axis 1: {DOMAIN}$"):
+        histogram_density(np.array([[1.0, 1e-300], [-3.0, np.nan]]), 5)
 
 
 def test_histogram_counts_values_on_edges():
