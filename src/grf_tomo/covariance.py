@@ -26,8 +26,8 @@ from .noise import variance_field
 _GL_ORDER = 4                  # Gauss-Legendre nodes per angle panel
 # the quadrature's start: panels of the first pass, and the tolerance that
 # panel doubling verifies
-PANELS = 2000
-TOLERANCE = 1e-4
+PANELS = 250
+TOLERANCE = 1e-10
 
 
 class QuadratureConvergenceError(RuntimeError):

@@ -27,6 +27,7 @@ _MUL1 = _U64(0xBF58476D1CE4E5B9)
 _MUL2 = _U64(0x94D049BB133111EB)
 _TAG_SITE = _U64(0x53497445A1B2C3D4)
 _TAG_STREAM = _U64(0x5374526541226788)
+_OFFSET = np.int64(2**52)      # a Python int would be converted on every call
 
 
 def first_round(h):
@@ -106,10 +107,12 @@ def scaled_draws_into(site_round, stream_round, scale, bits, out):
     _mix_rest(bits, out.view(_U64))
     np.right_shift(bits, _U64(11), out=bits)
     ints = bits.view(np.int64)
-    np.subtract(ints, 2**52, out=ints)
+    np.subtract(ints, _OFFSET, out=ints)
     # below 2^53 the int64 view converts exactly, and faster than uint64.
-    # A plain cast and then a float multiply beat one int64-by-float64
-    # multiply, whose buffered cast is slow against a broadcast scale
+    # A plain cast and then a float multiply are no slower than one
+    # int64-by-float64 multiply, whose cast runs through numpy's buffers:
+    # about 0.89 against 0.92 ns per draw with buffers one batch wide, as
+    # the reconstruction sets them (2-core Xeon VM)
     out[...] = ints
     return np.multiply(out, scale, out=out)
 

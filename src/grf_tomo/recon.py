@@ -32,8 +32,13 @@ _MAX_VIEWS = 1 << 21           # view indices packed above them, below the int64
 # worker has two buffers of about _SITE_BLOCK x _BATCH words, 512 KB
 # apiece, so they stay in a 2 MB L2 cache: one for a block's hash words,
 # which then hold one segment's gathered terms, and one for the block's
-# draws and the points' running sums.  A plan reads _SITE_BLOCK when it is
-# built.
+# draws and the points' running sums.  numpy copies a ufunc's operands,
+# broadcast columns included, through buffers of 8192 elements unless its
+# inner loop fills them, so each worker sets the buffer to _BATCH elements
+# and a pass over a block runs one uncopied inner loop per row.  A 128 x 512
+# split hashes faster, but the plan's gather table then loops over four
+# times as many blocks and the build slows.  A plan reads _SITE_BLOCK when
+# it is built.
 _BATCH = 128
 _SITE_BLOCK = 512
 # sites per chunk when the plan makes its draw inputs.  About seven arrays
@@ -281,12 +286,16 @@ class ReconstructionPlan:
 
         def work(own, bits, draws):
             try:
-                for start in own:
-                    if errors:
-                        return
-                    batch = realizations[start:start + _BATCH]
-                    np.multiply(self._run_batch(batch, bits, draws).T, self._prefactor,
-                                out=out[start:start + batch.size])
+                # numpy takes buffer sizes in multiples of 16; errstate
+                # scopes the setting to this thread's batches
+                with np.errstate():
+                    np.setbufsize(-(-_BATCH // 16) * 16)
+                    for start in own:
+                        if errors:
+                            return
+                        batch = realizations[start:start + _BATCH]
+                        np.multiply(self._run_batch(batch, bits, draws).T, self._prefactor,
+                                    out=out[start:start + batch.size])
             except BaseException as exc:    # re-raised by the calling thread
                 errors.append(exc)
 

@@ -329,7 +329,7 @@ class TestConfigValidation:
         assert f"configuration error: {named}: unknown field" in capsys.readouterr().err
         assert not out.exists()
         assert (ExperimentConfig.panels, ExperimentConfig.tolerance, ExperimentConfig.bins,
-                ConeBeamGeometry.admissible_fraction) == (2000, 1e-4, 21, 0.9)
+                ConeBeamGeometry.admissible_fraction) == (250, 1e-10, 21, 0.9)
 
     def test_readme_names_every_field_and_rule(self):
         # README says SCHEMA and ASSERTION_RULES are the single source of its
@@ -764,13 +764,15 @@ class TestCli:
 
 # sha256 of the simulate outputs for ci.json at --realizations 256 --threads 2,
 # taken before the histogram bin ranges were fixed to the sample-based
-# default; the manifest carries timestamps and is not covered
+# default and re-pinned at the 250-panel quadrature start, which moved no
+# output value by more than 1.3e-16; the manifest carries timestamps and
+# is not covered
 GOLDEN_SIMULATE = {
-    "stats.json": "8512ff83b128c82f32c580f724286db7ab4ecf02ebbe5b9d9272d992db60b571",
-    "hist1d_0.csv": "9dba819717af2a59157f6120847262f736bc59911a11397e1a3e5c5efd3cdd7e",
-    "hist1d_1.csv": "09ff01b7cb879412cb89df1e236d90a80908b406c9da57931bc821a915d384c8",
-    "hist1d_2.csv": "9c66f70b912384f24cf3e791f6319677077a673047b020e68093477514a28ed8",
-    "hist2d.csv": "ef3b77d5da372adfb3ba373d1242d913345eb500a4039f25b71baab7e200181a",
+    "stats.json": "9c45c338c6009f64cc5ceabf5cbc945d359c061c85fa70fb9b8e26d714099835",
+    "hist1d_0.csv": "a400a9327170ea793384905c7a63b6346ddf73b6f7b692018fcb3f19ee96b8ff",
+    "hist1d_1.csv": "cd1ebdd0988da9fd8a2cdf6d3f18347fba2757a38efc0347375e7b1dccfa6699",
+    "hist1d_2.csv": "fa01f8957df1530312f0230ba37411ce0033e0220ab8e26b0770874238ff8c11",
+    "hist2d.csv": "91f4720f625c0de29615be7d420c5406d05f776ea0364c35e91335a5478c4a07",
 }
 
 
@@ -784,15 +786,16 @@ def test_golden_simulate_digests(tmp_path):
 
 
 # sha256 of the simulate outputs for ci.json with a single offset and no
-# assertions, at --realizations 256 --threads 2: no pair, so no hist2d.csv
+# assertions, at --realizations 256 --threads 2: no pair, so no hist2d.csv.
+# Re-pinned with GOLDEN_SIMULATE
 GOLDEN_SIMULATE_SINGLE = {
     (0.0, 0.0, 0.0): {
-        "stats.json": "3353640a13c021eecdd34ce4ae04e378a93e9f208b5c8434adc8ddbf903578d0",
-        "hist1d_0.csv": "9c66f70b912384f24cf3e791f6319677077a673047b020e68093477514a28ed8",
+        "stats.json": "55a1770762daa8da2d38e8e6f9ad6ca9edd4576e6b4d715ed89718b7546e665b",
+        "hist1d_0.csv": "fa01f8957df1530312f0230ba37411ce0033e0220ab8e26b0770874238ff8c11",
     },
     (2.546, -2.974, 0.983): {
-        "stats.json": "b99ec816fbd94c98a0adbc116ef0f0da6d3e204295f404aee59976137c878c64",
-        "hist1d_0.csv": "09ff01b7cb879412cb89df1e236d90a80908b406c9da57931bc821a915d384c8",
+        "stats.json": "b73984ed5d4780a6c86088cde90be747eadaf7d723cafe0a73996b051574520b",
+        "hist1d_0.csv": "cd1ebdd0988da9fd8a2cdf6d3f18347fba2757a38efc0347375e7b1dccfa6699",
     },
 }
 
@@ -817,11 +820,12 @@ def test_golden_simulate_single_offset(tmp_path, offset):
 
 
 # sha256 of the predict outputs for ci.json with a covariance scan added,
-# taken while each command still wrote its own files
+# taken while each command still wrote its own files and re-pinned at the
+# 250-panel quadrature start, which moved no value by more than 5.6e-17
 GOLDEN_PREDICT = {
-    "cov_pred.json": "175abb07f9e8c64a162ec7e1b563438049e0f61afc9d80d8c37bc6bea9465919",
-    "cov_pred.csv": "759b609a8e6bdeeb65a703da04fab2b65dac933bf232fe8440b382393aacfb41",
-    "cov_scan.csv": "36a20d498eb1b3b6a8fcdfbf33c578a706fbfe1ed4093a3df5688a9aad71129d",
+    "cov_pred.json": "eeb3df3ec678abc58ed89d2a5ffb9703b15b1c74b22fe8e9268865114e937851",
+    "cov_pred.csv": "ed14687eab8901cf8f68cfe8eae8350c76b42bfb31472647e4fe0ebd7f16bfca",
+    "cov_scan.csv": "cd3b796d81885f574a03f9420150ff293e2f94a872e76b2fd5672e75ea08f0ec",
 }
 
 

@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
-from grf_tomo import CovariancePredictor, QuadratureConvergenceError
+from grf_tomo import CovariancePredictor, Kernel, KernelSpec, QuadratureConvergenceError
+from grf_tomo.covariance import TOLERANCE
 from conftest import CENTER, OFFSET_A, OFFSET_B, SRC, quad2d_response_correlation
 
 
@@ -25,12 +26,14 @@ def coarse(geometry, kernel):
 
 PAPER_OFFSETS = np.array([OFFSET_A, OFFSET_B, [0.0, 0.0, 0.0]])
 
-# sha256 of the predictions, taken from the per-entry integration loop.  At 8
-# panels two of the four paper entries settle one doubling later than the
-# other two; a change to the quadrature must keep all three
+# sha256 of the predictions, taken from the per-entry integration loop; the
+# matrix and the profile re-pinned when the quadrature start fell from 2000
+# panels at tolerance 1e-4 to 250 at 1e-10, which moved no value by more than
+# 5.6e-17.  At 8 panels two of the four paper entries settle one doubling
+# later than the other two; a change to the quadrature must keep all three
 GOLDEN_PREDICTION = {
-    "matrix": "501d349251d786c6d30327d8da584eefa38344e5cdfd69b985d98e6229f3a937",
-    "profile": "233356e5b20c2946f0151f83f74ef32f8e8d9e3fb002ba911b6e9d3b5c00834a",
+    "matrix": "ec5c1a8bbcc7a0049ec83eb61c05ac2b2c61e56fec4a38d035776376da098e31",
+    "profile": "21d3ea542cc77f67a661c80cbeb3482252b7d31b80ee9c2e66699dd64d921f93",
     "coarse_matrix": "142965095a3caaea66aef9c60c1c9139da5940a818423c02b8a096bacc97870e",
 }
 
@@ -116,6 +119,21 @@ class TestCovariance:
     def test_vanishes_for_large_offsets(self, predictor):
         assert predictor.covariance([500.0, 0.0, 0.0]) == 0.0
         assert predictor.covariance([0.0, 400.0, 300.0]) == 0.0
+
+    @pytest.mark.parametrize("exponent", [1, 2, 3, 4, 5])
+    def test_default_start_settles(self, geometry, exponent):
+        # the default start settles on the paper entries for every exponent,
+        # within its tolerance of the old 2000-panel start
+        kernel = Kernel(KernelSpec(exponent=exponent))
+        matrix = CovariancePredictor(geometry, kernel, CENTER).covariance_matrix(PAPER_OFFSETS)
+        old = CovariancePredictor(geometry, kernel, CENTER, panels=2000, tolerance=1e-4)
+        assert_allclose(matrix, old.covariance_matrix(PAPER_OFFSETS), rtol=0, atol=TOLERANCE)
+        if exponent == 1:
+            # the least smooth kernel shows the tolerance's margin: 1e-12
+            # does not settle by the third doubling
+            strict = CovariancePredictor(geometry, kernel, CENTER, tolerance=1e-12)
+            with pytest.raises(QuadratureConvergenceError, match="below 1e-12 by 2000 panels"):
+                strict.covariance_matrix(PAPER_OFFSETS)
 
     def test_unreachable_tolerance_raises(self, geometry, kernel):
         strict = CovariancePredictor(geometry, kernel, CENTER,

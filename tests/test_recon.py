@@ -266,9 +266,45 @@ def test_site_block_does_not_change_bits(monkeypatch):
         assert out.tobytes() == reference.tobytes(), block
 
 
+def test_batch_width_and_caller_buffer_do_not_change_bits(monkeypatch):
+    # the workers size numpy's buffer by the batch width, and neither the
+    # width nor the caller's own buffer setting reaches the bits.  Each run
+    # takes two full batches and a one-realization batch
+    plan = ci_plan(20240601)
+    reference = plan.reconstruct(np.arange(2 * 128 + 1), threads=2)
+    for batch in (2, 3, 5, 128):
+        monkeypatch.setattr(recon, "_BATCH", batch)
+        for bufsize in (16, 65536):
+            for threads in (1, 2):
+                with np.errstate():
+                    np.setbufsize(bufsize)
+                    out = plan.reconstruct(np.arange(2 * batch + 1), threads=threads)
+                assert out.tobytes() == reference[:2 * batch + 1].tobytes(), \
+                    (batch, bufsize, threads)
+
+
+def test_buffer_setting_stays_in_the_workers(monkeypatch):
+    # each batch runs with numpy's buffer one batch wide, and the caller's
+    # setting is the same after the call
+    plan = ci_plan(0)
+    run_batch = ReconstructionPlan._run_batch
+    seen = []
+
+    def recording(self, *args):
+        seen.append(np.getbufsize())
+        return run_batch(self, *args)
+
+    monkeypatch.setattr(ReconstructionPlan, "_run_batch", recording)
+    with np.errstate():
+        np.setbufsize(4096)
+        plan.reconstruct(np.arange(3 * _BATCH), threads=2)
+        assert np.getbufsize() == 4096
+    assert seen == [_BATCH] * 3
+
+
 def test_worker_error_reaches_the_caller(monkeypatch):
     # a batch that fails in a worker thread fails the call, and every worker
-    # has ended by the time it returns
+    # has ended by the time it returns, leaving the caller's buffer setting
     plan = ci_plan(0)
     run_batch = ReconstructionPlan._run_batch
 
@@ -279,8 +315,11 @@ def test_worker_error_reaches_the_caller(monkeypatch):
 
     monkeypatch.setattr(ReconstructionPlan, "_run_batch", failing)
     before = threading.active_count()
-    with pytest.raises(FloatingPointError, match="batch 2"):
-        plan.reconstruct(np.arange(5 * _BATCH), threads=2)
+    with np.errstate():
+        np.setbufsize(4096)
+        with pytest.raises(FloatingPointError, match="batch 2"):
+            plan.reconstruct(np.arange(5 * _BATCH), threads=2)
+        assert np.getbufsize() == 4096
     assert threading.active_count() == before
 
 
