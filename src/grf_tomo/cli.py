@@ -3,10 +3,11 @@
 Every command is a function ``cmd_*(config, threads) -> (files, metrics)``
 that touches no file: ``files`` maps each output name, in writing order, to a
 JSON object or a CSV table ``(header, rows)``.  :func:`main` then adds a
-manifest that echoes the configuration and lists the other files, and writes
-them all, so a failed run writes nothing.  A run can be reproduced bit-for-bit
-from the manifest alone (the manifest carries timestamps and is the only
-output that varies between identical runs).
+manifest that echoes the configuration, lists the other files and reports
+which conditions of the limit theory the run meets, and writes them all, so
+a failed run writes nothing.  A run can be reproduced bit-for-bit from the
+manifest alone (the manifest carries timestamps and is the only output that
+varies between identical runs).
 
 Exit codes: 0 success, 2 configuration error, 3 numerical error,
 4 assertion failure in ``--assert`` mode.
@@ -24,7 +25,8 @@ import sys
 import numpy as np
 
 from . import __version__, analysis
-from .config import ASSERTION_RULES, ConfigError, load as load_config, preset_path
+from .config import (ASSERTION_RULES, REQUIRED_SMOOTHNESS, ConfigError, load as load_config,
+                     preset_path)
 from .covariance import CovariancePredictor, QuadratureConvergenceError
 from .geometry import Radon2DGeometry
 from .kernel import Kernel
@@ -311,6 +313,9 @@ def main(argv=None):
         "outputs": sorted(files),
         "metrics": metrics,
         "assertions": assertions,
+        "conditions": {"kernel_smoothness": {     # the limit theory's, met or not
+            "value": config.kernel.smoothness, "required_above": REQUIRED_SMOOTHNESS,
+            "met": config.kernel.smoothness > REQUIRED_SMOOTHNESS}},
     }
     for name, payload in files.items():
         path = os.path.join(args.out, name)

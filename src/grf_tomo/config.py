@@ -12,7 +12,6 @@ from __future__ import annotations
 import copy
 import json
 import sys
-import warnings
 from dataclasses import asdict, dataclass
 from typing import Callable, NamedTuple
 
@@ -20,17 +19,14 @@ import numpy as np
 
 from .covariance import PANELS, TOLERANCE
 from .geometry import ConeBeamGeometry, DegenerateProjectionError
-from .kernel import KernelSpec
+from .kernel import _MAX_EXPONENT, KernelSpec
 from .noise import NoiseModel
 from .recon import _INDEX_BIAS, _MAX_VIEWS
 
 # The angle-average limit needs the kernel to have more continuous
 # derivatives than max(N + gamma + 1, n/2) = 5 for this reconstruction;
-# smaller exponents still run (and match the reference experiment) but get
-# a warning.
+# smaller exponents still run, and every manifest reports the condition.
 REQUIRED_SMOOTHNESS = 5
-# warning registries of the smoothness warnings that name a loaded file
-_FILE_WARNINGS = {}
 
 
 class ConfigError(ValueError):
@@ -155,7 +151,8 @@ SCHEMA = {
     }),
     "kernel": Field(REQUIRED, {
         "half_width": Field(REQUIRED, _positive, "a number > 0"),
-        "exponent": Field(REQUIRED, _integer(1), "an integer >= 1"),
+        "exponent": Field(REQUIRED, lambda v: _integer(1)(v) and v <= _MAX_EXPONENT,
+                          f"an integer in [1, {_MAX_EXPONENT}]"),
     }),
     "noise": Field(REQUIRED, {
         "seed": Field(REQUIRED, lambda v: _integer(0)(v) and v < 2**64,
@@ -242,38 +239,30 @@ def _section(data, schema, path=""):
     for key, spec in schema.items():
         sub = prefix + key
         if key in data:
-            value = copy.deepcopy(data[key])
+            value = data[key]
         elif spec.default is REQUIRED:
             raise ConfigError(f"{sub}: missing required field")
         elif spec.default is None:
             continue
         else:
-            value = copy.deepcopy(spec.default)
+            value = spec.default
+        # a value is copied once valid, so nesting too deep to copy is refused first
         if isinstance(spec.valid, dict):
-            value = _section(value, spec.valid, sub)
-        elif not spec.valid(value):
+            out[key] = _section(value, spec.valid, sub)
+        elif spec.valid(value):
+            out[key] = copy.deepcopy(value)
+        else:
             raise ConfigError(f"{sub}: expected {spec.expected}")
-        out[key] = value
     return out
 
 
-def from_dict(data, source=None):
-    """Build a validated :class:`ExperimentConfig` from plain dictionaries; the smoothness
-    warning names ``source``, a ``(filename, lineno)`` pair, or else the caller."""
+def from_dict(data):
+    """Build a validated :class:`ExperimentConfig` from plain dictionaries."""
     data = _section(data, SCHEMA)
     ker, exp = data["kernel"], data["experiment"]
     center = np.asarray(exp["center"], dtype=float)
     data["checks"].setdefault("hessian_points", [center.tolist()])
     kernel = KernelSpec(half_width=float(ker["half_width"]), exponent=ker["exponent"])
-    if kernel.smoothness <= REQUIRED_SMOOTHNESS:
-        message = (f"kernel.exponent: smoothness {kernel.smoothness} does not exceed the "
-                   f"{REQUIRED_SMOOTHNESS} continuous derivatives the limit theory asks "
-                   "for; results follow the reference experiment anyway")
-        if source is None:
-            warnings.warn(message, UserWarning, stacklevel=2)
-        else:  # one registry per file, so that each file's warning prints once
-            warnings.warn_explicit(message, UserWarning, *source,
-                                   registry=_FILE_WARNINGS.setdefault(source[0], {}))
     config = ExperimentConfig(
         geometry=ConeBeamGeometry(radius=float(data["geometry"]["radius"])),
         kernel=kernel,
@@ -324,21 +313,20 @@ def load(path, seed=None, realizations=None):
     be, before the one :func:`from_dict` call.  Raises :class:`ConfigError` with
     the byte offset for malformed JSON and a dotted path for schema violations.
     """
-    with open(path, "rb") as fh:
-        text = fh.read()
     try:
-        data = json.loads(text)
+        with open(path, "rb") as fh:
+            data = json.load(fh)
     except json.JSONDecodeError as exc:
-        raise ConfigError(
-            f"{path}: invalid JSON at byte offset {exc.pos}: {exc.msg}"
-        ) from exc
+        raise ConfigError(f"{path}: invalid JSON at byte offset {exc.pos}: {exc.msg}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: undecodable at byte offset {exc.start}: {exc.reason}") from exc
+    except RecursionError as exc:
+        raise ConfigError(f"{path}: JSON nested too deeply to parse") from exc
     for section, key, value in (("noise", "seed", seed),
                                 ("experiment", "realizations", realizations)):
         if value is not None and isinstance(data, dict) and isinstance(data.get(section), dict):
             data[section][key] = value
-    # the smoothness warning names the file's kernel.exponent line
-    line = text[:max(text.find(b'"exponent"'), 0)].count(b"\n") + 1
-    return from_dict(data, source=(str(path), line))
+    return from_dict(data)
 
 
 def preset_path(name):

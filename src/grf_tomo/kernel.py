@@ -21,6 +21,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+# numpy.polynomial.Polynomial.maxpower, written out so that check never imports
+# numpy.polynomial: numpy builds no larger power, so no bump of a larger exponent
+_MAX_EXPONENT = 100
+
 
 def _sorted_unique(values):
     """Sorted distinct values of ``values``, as ``numpy.unique`` gives them.
@@ -56,8 +60,8 @@ class KernelSpec:
         Half-width ``a`` of the smoothing bump, in detector-pixel units.
         Must be positive and finite.  The kernel support radius is ``1 + half_width``.
     exponent : int
-        Smoothness exponent ``l >= 1`` of the bump ``(1 - (t/a)^2)^l``.
-        The kernel has ``l + 1`` continuous derivatives.
+        Smoothness exponent ``l`` of the bump ``(1 - (t/a)^2)^l``, an integer
+        from 1 to 100.  The kernel has ``l + 1`` continuous derivatives.
     """
 
     half_width: float = 2.5
@@ -66,9 +70,11 @@ class KernelSpec:
     def __post_init__(self):
         if isinstance(self.half_width, (bool, np.bool_)) or not 0 < self.half_width < np.inf:
             raise ValueError(f"half_width must be a finite number > 0, got {self.half_width!r}")
-        if isinstance(self.exponent, (bool, np.bool_)) or int(self.exponent) != self.exponent \
-                or self.exponent < 1:
-            raise ValueError(f"exponent must be an integer >= 1, got {self.exponent!r}")
+        # the range test comes first, so that int() never sees inf or NaN
+        if isinstance(self.exponent, (bool, np.bool_)) \
+                or not 1 <= self.exponent <= _MAX_EXPONENT or int(self.exponent) != self.exponent:
+            raise ValueError(f"exponent must be an integer in [1, {_MAX_EXPONENT}], "
+                             f"got {self.exponent!r}")
 
     @property
     def support(self):

@@ -16,7 +16,6 @@ import importlib
 import inspect
 import itertools
 import textwrap
-import warnings
 from pathlib import Path
 from types import ModuleType
 
@@ -218,12 +217,10 @@ def test_benchmark_documents_load(monkeypatch):
     # that breaks the benchmark's input fails here rather than in a benchmark run
     monkeypatch.syspath_prepend(str(ROOT / "bench"))
     workloads = importlib.import_module("workloads")
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", UserWarning)    # the preset's smoothness note
-        for workload, size, seed in itertools.product(
-                workloads.WORKLOADS, (workloads.FULL, workloads.SMOKE), (0, 1, 901)):
-            cfg = config.from_dict(workloads.make_config(workload.name, seed, size, root=ROOT))
-            assert cfg.checks["ellipse_samples"] == size.ellipse_samples
+    for workload, size, seed in itertools.product(
+            workloads.WORKLOADS, (workloads.FULL, workloads.SMOKE), (0, 1, 901)):
+        cfg = config.from_dict(workloads.make_config(workload.name, seed, size, root=ROOT))
+        assert cfg.checks["ellipse_samples"] == size.ellipse_samples
 
 
 def test_guard_sees_the_benchmark_calls():

@@ -3,6 +3,7 @@ import dataclasses
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -95,15 +96,6 @@ def write_config(tmp_path, data, name="config.json"):
     return str(path)
 
 
-@pytest.fixture(autouse=True)
-def quiet_smoothness_warning():
-    import warnings
-
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", UserWarning)
-        yield
-
-
 class TestConfigValidation:
     def test_bundled_presets_load(self):
         for name in ("paper", "ci"):
@@ -167,6 +159,29 @@ class TestConfigValidation:
         path.write_text('{"geometry": {')
         with pytest.raises(ConfigError, match="byte offset"):
             load_config(str(path))
+
+    def test_undecodable_json_reports_byte_offset(self, tmp_path):
+        # a UTF-16 byte order mark with one byte after it
+        path = tmp_path / "utf16.json"
+        path.write_bytes(b"\xff\xfe{")
+        message = f"^{re.escape(str(path))}: undecodable at byte offset 2: "
+        with pytest.raises(ConfigError, match=message):
+            load_config(str(path))
+
+    def test_too_deep_json_names_the_file(self, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 200_000 + "]" * 200_000)
+        message = f"^{re.escape(str(path))}: JSON nested too deeply to parse$"
+        with pytest.raises(ConfigError, match=message):
+            load_config(str(path))
+
+    def test_deep_value_is_refused_not_copied(self, tmp_path):
+        # JSON parses a value 900 lists deep, which is too deep to copy; the
+        # schema refuses it first
+        data = base_config()
+        data["experiment"]["offsets"] = json.loads("[" * 900 + "]" * 900)
+        with pytest.raises(ConfigError, match="^experiment.offsets: expected"):
+            load_config(write_config(tmp_path, data))
 
     def test_missing_field_names_path(self):
         data = base_config()
@@ -233,14 +248,11 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="kernel.half_width"):
             from_dict(data)
 
-    def test_smoothness_warning_fires(self):
-        import warnings
-
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            from_dict(base_config())
-        # a direct call names its caller
-        assert [w.filename for w in caught if "smoothness" in str(w.message)] == [__file__]
+    def test_from_dict_takes_the_document_only(self):
+        # the kernel's smoothness is reported in the manifest, so from_dict
+        # needs no location to warn at
+        with pytest.raises(TypeError, match="source"):
+            from_dict(base_config(), source=("config.json", 8))
 
     @settings(deadline=None, max_examples=60,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -477,6 +489,16 @@ class TestCli:
         assert cli.main(["predict", "--config", str(path),
                          "--out", str(tmp_path / "x")]) == 2
 
+    @pytest.mark.parametrize("text", [b"\xff\xfe{", b"[" * 200_000 + b"]" * 200_000],
+                             ids=["undecodable", "too-deep"])
+    def test_unparsable_config_exits_2(self, tmp_path, capsys, text):
+        path = tmp_path / "broken.json"
+        path.write_bytes(text)
+        out = tmp_path / "x"
+        assert cli.main(["predict", "--config", str(path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(f"configuration error: {path}: ")
+        assert not out.exists()
+
     def test_numerical_error_exits_3(self, tmp_path, monkeypatch):
         monkeypatch.setattr(ExperimentConfig, "panels", 1)
         monkeypatch.setattr(ExperimentConfig, "tolerance", 1e-300)
@@ -567,6 +589,12 @@ class TestCli:
                      {"checks": {"hessian_points": [[9.5, 0.0, 1.0]]}}, None, id="hessian-9.5"),
         pytest.param("predict", "experiment.center", {"experiment": dict(
             base_config()["experiment"], center=[9.5, 0.0, 0.8])}, None, id="center-9.5"),
+        # numpy builds no polynomial power above 100, and the bump's
+        # normalization overflows a float from exponent 150 on
+        *[pytest.param(command, "kernel.exponent", {"kernel": {"half_width": 2.5,
+                                                                "exponent": exponent}},
+                       None, id=f"exponent-{exponent}-{command}")
+          for exponent in (101, 120, 160, 10**6) for command in ("predict", "check", "simulate")],
     ])
     def test_load_time_fault_exits_2(self, tmp_path, capsys, command, field, sections,
                                      offsets):
@@ -718,42 +746,54 @@ class TestCli:
         argv = [arg.format(**paths) for arg in argv] + ["--out", str(tmp_path / "out")]
         probe = ("import json, sys; from grf_tomo import cli; code = cli.main(sys.argv[1:]); "
                  f"print(json.dumps([code, [m for m in {unused!r} if m in sys.modules]]))")
-        result = subprocess.run([sys.executable, "-W", "ignore", "-c", probe, *argv],
+        result = subprocess.run([sys.executable, "-c", probe, *argv],
                                 env=dict(os.environ, PYTHONPATH=SRC),
                                 capture_output=True, text=True, timeout=120)
         assert result.returncode == 0, result.stderr
         assert json.loads(result.stdout.splitlines()[-1]) == [0, []]
 
-    def test_overrides_warn_once(self, tmp_path):
-        # --seed and --realizations edit the document before its one
-        # from_dict, so the preset's smoothness warning prints once
-        env = {k: v for k, v in os.environ.items() if k != "PYTHONWARNINGS"}
-        env["PYTHONPATH"] = SRC
-        result = subprocess.run(
-            [sys.executable, "-m", "grf_tomo.cli", "simulate", "--config", str(preset_path("ci")),
-             "--seed", "3", "--realizations", "8", "--threads", "1",
-             "--out", str(tmp_path / "out")],
-            env=env, capture_output=True, text=True, timeout=120)
-        assert result.returncode == 0, result.stderr
-        assert result.stderr.count("kernel.exponent: smoothness") == 1, result.stderr
+    # the full paper run takes seconds, so simulate overrides its realizations
+    @pytest.mark.parametrize("command,options", [
+        ("predict", []), ("check", []), ("simulate", ["--realizations", "64"]),
+        ("predict", ["--seed", "3", "--realizations", "8"]),
+        ("check", ["--seed", "3", "--realizations", "8"]),
+        ("simulate", ["--seed", "3", "--realizations", "8"]),
+    ], ids=["predict", "check", "simulate", "predict-overrides", "check-overrides",
+            "simulate-overrides"])
+    @pytest.mark.parametrize("preset", ["paper", "ci"])
+    def test_manifest_reports_kernel_smoothness(self, tmp_path, preset, command, options):
+        # both presets' exponent 3 gives smoothness 4, not above the 5 the
+        # limit theory asks for; the run goes ahead and its manifest says so
+        out = tmp_path / "out"
+        assert cli.main([command, "--config", str(preset_path(preset)), "--out", str(out),
+                         "--threads", "1", *options]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["conditions"] == {
+            "kernel_smoothness": {"value": 4, "required_above": 5, "met": False}}
 
-    def test_smoothness_warning_names_config_file(self, tmp_path):
-        # the location printed is the loaded document's kernel.exponent
-        # line, not a line of the library
-        path = tmp_path / "ci.json"
-        path.write_bytes(preset_path("ci").read_bytes())
-        line = next(n for n, text in enumerate(path.read_text().splitlines(), 1)
-                    if '"exponent"' in text)
+    # smoothness 5 is the edge: the theory asks for more than 5 derivatives
+    @pytest.mark.parametrize("exponent,met", [(4, False), (5, True)])
+    def test_smooth_kernel_meets_the_condition(self, tmp_path, exponent, met):
+        data = base_config()
+        data["kernel"]["exponent"] = exponent
+        out = tmp_path / "out"
+        assert cli.main(["predict", "--config", write_config(tmp_path, data),
+                         "--out", str(out)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["conditions"]["kernel_smoothness"] == {
+            "value": exponent + 1, "required_above": 5, "met": met}
+
+    def test_successful_run_writes_no_stderr(self, tmp_path):
+        # the preset's unmet smoothness condition is reported in the manifest,
+        # not on stderr
         env = {k: v for k, v in os.environ.items() if k != "PYTHONWARNINGS"}
         env["PYTHONPATH"] = SRC
         result = subprocess.run(
-            [sys.executable, "-m", "grf_tomo.cli", "predict", "--config", str(path),
+            [sys.executable, "-m", "grf_tomo.cli", "predict", "--config", str(preset_path("ci")),
              "--out", str(tmp_path / "out")],
             env=env, capture_output=True, text=True, timeout=120)
         assert result.returncode == 0, result.stderr
-        assert result.stderr.startswith(
-            f"{path}:{line}: UserWarning: kernel.exponent: smoothness"), result.stderr
-        assert "grf_tomo" not in result.stderr, result.stderr
+        assert result.stderr == ""
 
     def test_console_script_version(self):
         result = subprocess.run([sys.executable, "-m", "grf_tomo.cli", "--version"],

@@ -8,7 +8,7 @@ from numpy.testing import assert_allclose
 from scipy.integrate import quad
 
 from grf_tomo import Kernel, KernelSpec
-from grf_tomo.kernel import _sorted_unique
+from grf_tomo.kernel import _MAX_EXPONENT, _sorted_unique
 
 
 def defining_integral(t, half_width, exponent):
@@ -95,6 +95,15 @@ class TestSpec:
                 KernelSpec(half_width=true)
             with pytest.raises(ValueError, match="exponent"):
                 KernelSpec(exponent=true)
+        # numpy builds no polynomial power above 100, and int() of an
+        # infinite exponent would raise OverflowError
+        for exponent in (101, 10**6, np.inf, -np.inf, np.nan):
+            with pytest.raises(ValueError, match=r"^exponent must be an integer in \[1, 100\]"):
+                KernelSpec(exponent=exponent)
+
+    def test_largest_exponent_builds(self):
+        assert _MAX_EXPONENT == np.polynomial.Polynomial.maxpower
+        assert Kernel(KernelSpec(exponent=_MAX_EXPONENT)).spec.smoothness == 101
 
     def test_smoothness_is_exponent_plus_one(self):
         assert KernelSpec(2.5, 3).smoothness == 4

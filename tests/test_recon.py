@@ -4,7 +4,6 @@ import re
 import sys
 import threading
 import tracemalloc
-import warnings
 
 import numpy as np
 import pytest
@@ -39,15 +38,9 @@ from conftest import (
 )
 
 
-def load_preset(name):
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", UserWarning)    # the preset's smoothness note
-        return load_config(preset_path(name))
-
-
 def ci_plan(seed):
     """Reconstruction plan for the ``ci.json`` points at the given seed."""
-    cfg = with_overrides(load_preset("ci"), seed=seed)
+    cfg = with_overrides(load_config(preset_path("ci")), seed=seed)
     points = cfg.center + cfg.eps * cfg.offsets
     return ReconstructionPlan(cfg.geometry, cfg.kernel, cfg.noise, points)
 
@@ -204,7 +197,7 @@ def test_plan_build_holds_little_beyond_its_tables(refine, bound):
     # 1.64 times at eps/4.  The kernel is built first, so that its one-time
     # numpy.polynomial import (0.7 MB) is not counted when this test runs
     # first in its process
-    cfg = load_preset("paper")
+    cfg = load_config(preset_path("paper"))
     eps = cfg.eps / refine
     noise_model = NoiseModel(eps=eps, n_views=500 * refine, seed=cfg.seed)
     points = cfg.center + eps * cfg.offsets
@@ -241,7 +234,7 @@ def test_view_count_beyond_packing_range_fails_before_projection():
         def project(self, *args):
             raise AssertionError("the plan projected the points")
 
-    cfg = load_preset("ci")
+    cfg = load_config(preset_path("ci"))
     noise_model = NoiseModel(eps=cfg.eps, n_views=2**21 + 1, seed=cfg.seed)
     with pytest.raises(ValueError, match="n_views"):
         ReconstructionPlan(Unprojected(), cfg.kernel, noise_model, cfg.points)
@@ -251,7 +244,7 @@ def test_view_count_beyond_packing_range_fails_before_projection():
 def test_plan_refuses_an_inadmissible_point():
     # the plan applies the geometry's rule, as CovariancePredictor does; at
     # (9.5, 0, 0.8), beyond 0.9 R, it used to build 24,500 sites
-    cfg = load_preset("ci")
+    cfg = load_config(preset_path("ci"))
     with pytest.raises(DegenerateProjectionError, match="point 1 at cylinder radius 9.5 "):
         ReconstructionPlan(cfg.geometry, cfg.kernel, cfg.noise, [cfg.center, [9.5, 0.0, 0.8]])
 
