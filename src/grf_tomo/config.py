@@ -73,7 +73,7 @@ THRESHOLD = Field(None, _finite_number, "a finite number")
 
 CHECKS = {
     "ellipse_samples": Field(10000, _integer(1), "an integer >= 1"),
-    # from_dict fills in [center]
+    # ExperimentConfig fills in [center]
     "hessian_points": Field(None, _list_of(_numbers(3)), "a nonempty list of finite 3-vectors"),
     "hessian_resolution": Field(2000, _integer(1000), "an integer >= 1000"),
     "degeneracy_samples": Field(20000, _integer(10**4), "an integer >= 10000"),
@@ -174,9 +174,14 @@ SCHEMA = {
 }
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class ExperimentConfig:
-    """Validated experiment description shared by all commands."""
+    """Validated experiment description shared by all commands.
+
+    Frozen, and checked on construction, so that a direct call or
+    ``dataclasses.replace`` refuses what :func:`from_dict` would, at the same
+    dotted path.  ``==`` is identity, as the generated one would compare arrays.
+    """
 
     # not document fields: the quadrature's start panels and tolerance are no
     # part of the experiment, and the pdf thresholds are calibrated at 21 bins
@@ -192,6 +197,43 @@ class ExperimentConfig:
     realizations: int
     checks: dict
     assertions: dict
+
+    def __post_init__(self):
+        # own copies, so that no later edit of the caller's values reaches a validated one
+        center, offsets = np.array(self.center, dtype=float), np.array(self.offsets, dtype=float)
+        center.flags.writeable = offsets.flags.writeable = False
+        checks = copy.deepcopy(self.checks)
+        checks.setdefault("hessian_points", [center.tolist()])
+        for name, value in (("center", center), ("offsets", offsets), ("checks", checks),
+                            ("assertions", copy.deepcopy(self.assertions))):
+            object.__setattr__(self, name, value)
+        for command, rules in self.assertions.items():
+            for name in rules:
+                for needs, met in ASSERTION_RULES[command][name].requires:
+                    if not met(self):
+                        raise ConfigError(f"assertions.{command}.{name}: the experiment needs "
+                                          f"{needs} for this rule")
+        # the geometry's rule bounds every view's denominator; "point k" is entry k.
+        # An evaluation point beyond float range is infinite, which the rule refuses
+        with np.errstate(over="ignore"):
+            points = self.points
+        for path, entries in (("experiment.center", center), ("experiment.offsets", points),
+                              ("checks.hessian_points", checks["hessian_points"])):
+            try:
+                self.geometry.check_admissible(entries)
+            except DegenerateProjectionError as exc:
+                raise ConfigError(f"{path}: {exc}") from exc
+        # at cylinder radius rho each view projects a point within max(rho, |x3|)
+        # / (1 - rho/R) of the detector origin, so its footprint indices stay
+        # below this reach, the 1 covering rounding; the plan packs them in 21 bits
+        rho = np.hypot(points[:, 0], points[:, 1])
+        with np.errstate(over="ignore"):
+            reach = np.maximum(rho, np.abs(points[:, 2])) / (1.0 - rho / self.geometry.radius) \
+                / self.eps + self.kernel.support + 1.0
+        far = np.flatnonzero(~(reach < _INDEX_BIAS))
+        if far.size:
+            raise ConfigError(f"experiment.offsets: point {far[0]}'s detector footprint reaches "
+                              f"index {reach[far[0]]:.4g}, beyond the plan's range {_INDEX_BIAS}")
 
     @property
     def eps(self):
@@ -227,7 +269,8 @@ class ExperimentConfig:
 
 
 def _section(data, schema, path=""):
-    """Validate ``data`` against ``schema``; return a copy with defaults filled in."""
+    """Validate ``data`` against ``schema``; return its sections with defaults
+    filled in, sharing the document's leaf values."""
     if not isinstance(data, dict):
         raise ConfigError(f"{path or 'top level'}: expected a JSON object")
     prefix = f"{path}." if path else ""
@@ -246,11 +289,10 @@ def _section(data, schema, path=""):
             continue
         else:
             value = spec.default
-        # a value is copied once valid, so nesting too deep to copy is refused first
         if isinstance(spec.valid, dict):
             out[key] = _section(value, spec.valid, sub)
         elif spec.valid(value):
-            out[key] = copy.deepcopy(value)
+            out[key] = value
         else:
             raise ConfigError(f"{sub}: expected {spec.expected}")
     return out
@@ -260,49 +302,13 @@ def from_dict(data):
     """Build a validated :class:`ExperimentConfig` from plain dictionaries."""
     data = _section(data, SCHEMA)
     ker, exp = data["kernel"], data["experiment"]
-    center = np.asarray(exp["center"], dtype=float)
-    data["checks"].setdefault("hessian_points", [center.tolist()])
-    kernel = KernelSpec(half_width=float(ker["half_width"]), exponent=ker["exponent"])
-    config = ExperimentConfig(
+    return ExperimentConfig(
         geometry=ConeBeamGeometry(radius=float(data["geometry"]["radius"])),
-        kernel=kernel,
+        kernel=KernelSpec(half_width=float(ker["half_width"]), exponent=ker["exponent"]),
         noise=NoiseModel(eps=float(exp["detector_step"]), n_views=exp["n_views"],
                          seed=data["noise"]["seed"]),
-        center=center,
-        offsets=np.asarray(exp["offsets"], dtype=float),
-        realizations=exp["realizations"],
-        checks=data["checks"],
-        assertions=data["assertions"],
-    )
-    for command, rules in config.assertions.items():
-        for name in rules:
-            for needs, met in ASSERTION_RULES[command][name].requires:
-                if not met(config):
-                    raise ConfigError(f"assertions.{command}.{name}: the experiment needs "
-                                      f"{needs} for this rule")
-    # the geometry's rule bounds every view's denominator; "point k" is entry k.
-    # An evaluation point beyond float range is infinite, which the rule refuses
-    with np.errstate(over="ignore"):
-        points = config.points
-    for path, entries in (("experiment.center", config.center),
-                          ("experiment.offsets", points),
-                          ("checks.hessian_points", config.checks["hessian_points"])):
-        try:
-            config.geometry.check_admissible(entries)
-        except DegenerateProjectionError as exc:
-            raise ConfigError(f"{path}: {exc}") from exc
-    # at cylinder radius rho each view projects a point within max(rho, |x3|)
-    # / (1 - rho/R) of the detector origin, so its footprint indices stay
-    # below this reach, the 1 covering rounding; the plan packs them in 21 bits
-    rho = np.hypot(points[:, 0], points[:, 1])
-    with np.errstate(over="ignore"):
-        reach = np.maximum(rho, np.abs(points[:, 2])) / (1.0 - rho / config.geometry.radius) \
-            / config.eps + kernel.support + 1.0
-    far = np.flatnonzero(~(reach < _INDEX_BIAS))
-    if far.size:
-        raise ConfigError(f"experiment.offsets: point {far[0]}'s detector footprint reaches "
-                          f"index {reach[far[0]]:.4g}, beyond the plan's range {_INDEX_BIAS}")
-    return config
+        center=exp["center"], offsets=exp["offsets"], realizations=exp["realizations"],
+        checks=data["checks"], assertions=data["assertions"])
 
 
 def load(path, seed=None, realizations=None):

@@ -5,6 +5,7 @@ Each test prints one ``[acceptance] criterion N: PASS/FAIL`` line (run with
 the criteria that need it.
 """
 
+import dataclasses
 import os
 import time
 
@@ -40,7 +41,6 @@ from conftest import (
     detector_response,
     quad2d_response_correlation,
     reconstruct_with_field,
-    with_overrides,
 )
 
 THREADS = os.cpu_count() or 1
@@ -302,7 +302,8 @@ def test_epsilon_refinement_trend(replication_cfg, fresh_prediction):
     n = 1000
 
     def mismatch_at(eps_value):
-        cfg = with_overrides(replication_cfg, eps=eps_value, realizations=n)
+        cfg = dataclasses.replace(replication_cfg, realizations=n, noise=dataclasses.replace(
+            replication_cfg.noise, eps=eps_value))
         hist = histogram_density(reconstruct(cfg)[:, 2], bins=21)
         return density_mismatch(hist.density, gaussian_on_bins(0.0, c0, hist))
 

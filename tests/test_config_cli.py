@@ -12,7 +12,8 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from grf_tomo import ConeBeamGeometry, ConfigError, ReconstructionPlan, load_config
+from grf_tomo import (ConeBeamGeometry, ConfigError, KernelSpec, NoiseModel, ReconstructionPlan,
+                      load_config)
 from grf_tomo import cli, config
 from grf_tomo.config import (ASSERTION_RULES, CHECKS, PAIR, ExperimentConfig, from_dict,
                              preset_path)
@@ -261,6 +262,11 @@ class TestConfigValidation:
         cfg = from_dict(data)
         again = from_dict(cfg.to_dict())
         assert again.to_dict() == cfg.to_dict()
+        # the echo is a fixed point to the byte of the manifest's form, and the
+        # object passes its own rules
+        echo = json.dumps(cfg.to_dict(), sort_keys=True)
+        assert json.dumps(again.to_dict(), sort_keys=True) == echo
+        assert json.dumps(dataclasses.replace(cfg).to_dict(), sort_keys=True) == echo
         assert np.array_equal(again.offsets, cfg.offsets)
         # every checks field but the optional scan carries its value or default
         assert set(CHECKS) - set(again.checks) <= {"covariance_scan"}
@@ -322,6 +328,53 @@ class TestConfigValidation:
         data["assertions"]["predict"]["variance"][1] = -1
         assert cfg.checks["hessian_points"] == [[1.0, 1.0, 1.0]]
         assert cfg.assertions["predict"]["variance"] == [0.4848, 0.05]
+
+    # each edit both as a replace on the loaded ci.json and in its document's experiment
+    @pytest.mark.parametrize("fields,message", [
+        ({"center": [50.0, 0.0, 0.8]},
+         "experiment.center: point 0 at cylinder radius 50 exceeds the admissible 9"),
+        ({"offsets": [[0.0, 0.0, 2e6], [0.0, 0.0, 0.0]]},
+         "experiment.offsets: point 0's detector footprint reaches index 3.396e+06"),
+        ({"offsets": [[0.0, 0.0, 0.0]]},
+         "assertions.predict.cross_covariance: the experiment needs at least two offsets"),
+    ], ids=["center", "footprint", "one-offset"])
+    def test_replace_refuses_what_load_refuses(self, fields, message):
+        # the config owns its cross-field rules, so a replace cannot build what
+        # load refuses, and both say so in the same words
+        cfg = load_config(preset_path("ci"))
+        data = cfg.to_dict()
+        data["experiment"].update(fields)
+        with pytest.raises(ConfigError) as loaded:
+            from_dict(data)
+        with pytest.raises(ConfigError) as replaced:
+            dataclasses.replace(cfg, **fields)
+        assert str(replaced.value) == str(loaded.value)
+        assert str(loaded.value).startswith(message)
+
+    def test_replaced_center_is_a_read_only_array(self):
+        cfg = load_config(preset_path("ci"))
+        given_offsets = np.array(cfg.offsets)
+        moved = dataclasses.replace(cfg, center=[2, -3, 0.8], offsets=given_offsets)
+        for array in (moved.center, moved.offsets):
+            assert array.dtype == float and not array.flags.writeable
+        # the config holds its own copy, and leaves the caller's array writeable
+        assert moved.offsets is not given_offsets and given_offsets.flags.writeable
+        assert moved.to_dict()["experiment"]["center"] == [2.0, -3.0, 0.8]
+        with pytest.raises(ValueError, match="read-only"):
+            moved.center[0] = 50.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            moved.center = np.array([50.0, 0.0, 0.8])
+
+    def test_config_compares_by_identity(self):
+        # == and hash do not reach the array fields
+        first, second = load_config(preset_path("ci")), load_config(preset_path("ci"))
+        assert first == first and first != second
+        assert len({first, second}) == 2
+
+    @pytest.mark.parametrize("cls", [ConeBeamGeometry, KernelSpec, NoiseModel, ExperimentConfig])
+    def test_document_objects_are_frozen(self, cls):
+        # every object a document builds validates once, at construction
+        assert dataclasses.is_dataclass(cls) and cls.__dataclass_params__.frozen
 
     @pytest.mark.parametrize("command", ["predict", "check", "simulate"])
     @pytest.mark.parametrize("field", list(RETIRED_FIELDS))
@@ -505,6 +558,20 @@ class TestCli:
         path = write_config(tmp_path, base_config())
         assert cli.main(["predict", "--config", path,
                          "--out", str(tmp_path / "n")]) == 3
+
+    def test_exponent_past_kernel_accuracy_exits_3(self, tmp_path, capsys):
+        # load admits exponents up to numpy's power limit of 100, but the bump's
+        # monomial expansion loses accuracy long before, and from 37 on ci.json's
+        # angle quadrature no longer settles
+        with open(preset_path("ci")) as fh:
+            data = json.load(fh)
+        data["kernel"]["exponent"] = 37
+        out = tmp_path / "n"
+        assert cli.main(["predict", "--config", write_config(tmp_path, data),
+                         "--out", str(out)]) == 3
+        assert capsys.readouterr().err.startswith(
+            "numerical error: angle quadrature did not settle below 1e-10 by 2000 panels")
+        assert list(out.iterdir()) == []
 
     def test_simulate_fails_before_monte_carlo(self, tmp_path, monkeypatch):
         def reconstruct(*args, **kwargs):

@@ -1,4 +1,5 @@
 import collections
+import dataclasses
 import hashlib
 import re
 import sys
@@ -34,13 +35,13 @@ from conftest import (
     detector_response,
     reconstruct_point,
     reconstruct_with_field,
-    with_overrides,
 )
 
 
 def ci_plan(seed):
     """Reconstruction plan for the ``ci.json`` points at the given seed."""
-    cfg = with_overrides(load_config(preset_path("ci")), seed=seed)
+    cfg = load_config(preset_path("ci"))
+    cfg = dataclasses.replace(cfg, noise=dataclasses.replace(cfg.noise, seed=seed))
     points = cfg.center + cfg.eps * cfg.offsets
     return ReconstructionPlan(cfg.geometry, cfg.kernel, cfg.noise, points)
 
